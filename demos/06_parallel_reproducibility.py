@@ -1,12 +1,15 @@
 """Bit-reproducible replication, sequential or parallel.
 
 Unbiased replicates are embarrassingly parallel: averages over workers need
-no synchronization or bias correction.  The harness keys replicate i to the
-substream (i,) of a single master seed, so the numbers a replicate sees
-depend only on its index -- not on which worker ran it, the chunking, or
-the worker count.  This script runs the same 2 000-replicate job three ways
-and checks the per-replicate values agree to the last bit, then shows the
-run manifest that records everything needed to reproduce the batch.
+no synchronization or bias correction.  The harness cuts a run into blocks
+of BLOCK_SIZE replicates and keys block b to the substream (b,) of a single
+master seed, running each block as one vectorized batch.  The numbers a
+replicate sees depend only on its index, the block size and the run
+length -- not on which worker ran it, the chunking, or the worker count.
+This script runs the same 2 000-replicate job three ways and checks the
+per-replicate values agree to the last bit, then shows the run manifest
+that records everything needed to reproduce the batch, block size
+included.
 """
 
 import numpy as np

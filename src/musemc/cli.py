@@ -23,7 +23,7 @@ from .baselines import TreeSpec, gaussian_dp_oracle, mc1_estimate, mc2_estimate
 from .estimator import LevelPolicy, MuseReplicateTask, RateSchedule, theoretical_rate_schedule
 from .inference import bootstrap_ci, clt_ci, self_normalized_variance, summarize, summary_to_json
 from .parallel import run_replicated, map_replicated, resolve_workers
-from .policy import PolicyConfig, PolicyEpisodeTask, run_stopping_policy, write_episode_log
+from .policy import PolicyConfig, PolicyEpisodeTask, run_stopping_policy, write_episode_log  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
 from .processes import gaussian_iid, gbm, process_spec_from_dict
 from .rewards import basket_put, identity_reward, reward_spec_from_dict
 from .streams import derive_substream
@@ -35,6 +35,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        args.workers = resolve_workers(args.workers)
         return args.handler(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -189,8 +190,8 @@ def _write_replicates_csv(path, samples):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate_id", "value", "top_level", "cost"])
-        for i, s in enumerate(samples):
-            writer.writerow([i, repr(s.value), s.top_level, s.cost])
+        columns = (samples.values.tolist(), samples.top_levels.tolist(), samples.costs.tolist())
+        writer.writerows([i, repr(v), level, cost] for i, (v, level, cost) in enumerate(zip(*columns)))
 
 
 def _write_json(path, payload):
@@ -239,6 +240,12 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _rate_grid(r_min, r_max, step):
+    """r_min, r_min + step, ... up to r_max, built by integer index so no point passes r_max."""
+    count = int(np.floor((r_max - r_min) / step + 1e-9)) + 1
+    return np.minimum(r_min + step * np.arange(count), r_max)
+
+
 def _cmd_tune_rate(args) -> int:
     if not 0.5 < args.r_min <= args.r_max < 1.0:
         raise ValueError("the rate grid must satisfy 0.5 < r_min <= r_max < 1")
@@ -246,7 +253,7 @@ def _cmd_tune_rate(args) -> int:
         raise ValueError("step must be positive")
     process = gaussian_iid(horizon=args.horizon)
     reward_spec = identity_reward()
-    grid = np.arange(args.r_min, args.r_max + 1e-12, args.step)
+    grid = _rate_grid(args.r_min, args.r_max, args.step)
     rows = []
     manifests = []
     for r in grid:
@@ -360,17 +367,11 @@ def _cmd_stop(args) -> int:
         tolerance=args.tolerance,
         alpha=args.alpha,
     )
-    workers = resolve_workers(args.workers)
-    if workers == 1:
-        outcomes, reward_summary = run_stopping_policy(process, reward_spec, policy_config, args.episodes, args.seed)
-        manifest_json = None
-    else:
-        task = PolicyEpisodeTask(process, reward_spec, policy_config)
-        outcomes, manifest = map_replicated(task, args.episodes, args.seed, workers=workers)
-        rewards = np.array([o.realized_reward for o in outcomes], dtype=float)
-        costs = np.array([o.inner_cost for o in outcomes], dtype=np.int64)
-        reward_summary = summarize(rewards, costs, wall_time=manifest.wall_time)
-        manifest_json = manifest.to_json()
+    task = PolicyEpisodeTask(process, reward_spec, policy_config)
+    outcomes, manifest = map_replicated(task, args.episodes, args.seed, workers=args.workers)
+    rewards = np.array([o.realized_reward for o in outcomes], dtype=float)
+    costs = np.array([o.inner_cost for o in outcomes], dtype=np.int64)
+    reward_summary = summarize(rewards, costs, wall_time=manifest.wall_time)
     write_episode_log(_out_path(args, "episodes.csv"), outcomes)
     taus = np.array([o.tau for o in outcomes], dtype=float)
     payload = {
@@ -381,8 +382,7 @@ def _cmd_stop(args) -> int:
         "total_inner_cost": reward_summary.total_cost,
     }
     _write_json(_out_path(args, "policy_summary.json"), payload)
-    if manifest_json is not None:
-        _write_json(_out_path(args, "manifest.json"), manifest_json)
+    manifest.save(_out_path(args, "manifest.json"))
     print(
         f"episodes={len(outcomes)}  mean reward={reward_summary.mean:.6f} (se {reward_summary.std_error:.6f})  "
         f"mean tau={taus.mean():.3f}  -> {args.out_dir}"

@@ -9,24 +9,25 @@ geometric mass P(N) makes the replicate exactly unbiased with finite
 expected cost.  Deeper stages recurse: each continuation sample is itself
 an independent replicate of the next stage's value.
 
-Within one replicate the tree is expanded level by level and reduced with
-vectorized segment sums, so per-node Python overhead is paid per *level*,
-not per sample.  Child blocks wider than ``_MAX_BATCH`` are accumulated in
-even-sized chunks, keeping memory bounded by the cap rather than by 2^N.
-All randomness comes from the caller's stream; one replicate consumes its
-generator in a fixed deterministic order.
+A batch of replicates expands its trees level by level and reduces them
+with vectorized segment sums, so per-node Python overhead is paid per
+*level*, not per sample.  Rows are expanded together in groups of at most
+``_MAX_GROUP`` children, and a row with 2^``_BIG_EXP`` or more children is
+accumulated in even-sized chunks of ``_MAX_BATCH``, keeping memory bounded
+by the caps rather than by 2^N.  All randomness comes from the caller's
+stream; one batch consumes its generator in a fixed deterministic order.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .inference import BatchSummary, summarize
+from .parallel import run_replicated
 from .processes import ProcessSpec, TrajectoryHistory, compile_stepper, validate_history
 from .rewards import RewardSpec, compile_reward
 from .streams import RandomStream, as_generator
@@ -34,8 +35,12 @@ from .streams import RandomStream, as_generator
 UNTRUNCATED = "untruncated"
 TRUNCATED = "truncated"
 
-_MAX_BATCH = 1 << 16  # cap on a vectorized child block; must stay even
+_MAX_BATCH = 1 << 16  # cap on a chunk of one row's children; must stay even
 _BIG_EXP = 16         # levels at or above this are reduced in chunks
+# cap on the children of several rows expanded together; far below
+# _MAX_BATCH so that a block holding one heavy-tailed replicate keeps its
+# transient arrays small (a single row may still exceed it, up to 2^(_BIG_EXP-1))
+_MAX_GROUP = 1 << 13
 
 
 def theoretical_rate(delta_mom: float) -> float:
@@ -134,6 +139,41 @@ class EstimatorSample:
     top_level: int
     cost: int
     biased: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class SampleBlock:
+    """Replicates in column form: one entry per replicate in each array.
+
+    Indexing with an int gives that replicate's ``EstimatorSample``; slicing
+    gives a ``SampleBlock``.
+    """
+
+    values: np.ndarray
+    top_levels: np.ndarray
+    costs: np.ndarray
+    biased: bool = False
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SampleBlock(self.values[i], self.top_levels[i], self.costs[i], self.biased)
+        return EstimatorSample(float(self.values[i]), int(self.top_levels[i]), int(self.costs[i]), self.biased)
+
+    @staticmethod
+    def concat(blocks) -> "SampleBlock":
+        """One block holding ``blocks`` end to end."""
+        blocks = list(blocks)
+        if len(blocks) == 1:
+            return blocks[0]
+        return SampleBlock(
+            np.concatenate([b.values for b in blocks]),
+            np.concatenate([b.top_levels for b in blocks]),
+            np.concatenate([b.costs for b in blocks]),
+            blocks[0].biased,
+        )
 
 
 def sample_geometric_level(r: float, stream) -> int:
@@ -245,7 +285,7 @@ def _run_batch(k, parents, count, gen, ctx):
     small = np.nonzero(~big)[0]
     if small.size:
         m = np.int64(1) << levels[small]
-        for a, b in _group_bounds(m, _MAX_BATCH):
+        for a, b in _group_bounds(m, _MAX_GROUP):
             rows = small[a:b]
             _reduce_rows(k, x, anchors, levels, m[a:b], rows, values, costs, gen, ctx, r)
     for i in np.nonzero(big)[0]:
@@ -254,20 +294,21 @@ def _run_batch(k, parents, count, gen, ctx):
 
 
 def _group_bounds(m, cap):
-    """Split consecutive rows into groups whose child counts sum to <= cap."""
-    total = int(m.sum())
-    if total <= cap:
+    """Split consecutive rows into groups whose child counts sum to <= cap.
+
+    Groups are filled greedily, each with at least one row; a group ends
+    before the first row whose running total would pass ``cap``.
+    """
+    ends = np.cumsum(m)
+    if m.size == 0 or ends[-1] <= cap:
         return [(0, m.size)]
     bounds = []
     a = 0
-    acc = 0
-    for i, mi in enumerate(m):
-        if acc + mi > cap and i > a:
-            bounds.append((a, i))
-            a = i
-            acc = 0
-        acc += int(mi)
-    bounds.append((a, m.size))
+    while a < m.size:
+        base = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        bounds.append((a, b))
+        a = b
     return bounds
 
 
@@ -398,9 +439,11 @@ def estimate_utility(
 ) -> BatchSummary:
     """Average ``n_replicates`` independent full-horizon replicates.
 
-    Replicate ``i`` uses the substream at path ``(i,)`` of ``stream``, the
-    same keying the parallel harness uses, so sequential and parallel runs
-    of one seed agree replicate for replicate.
+    This is the replication harness at one worker: block ``b`` of
+    ``parallel.BLOCK_SIZE`` replicates runs as one batch on the substream
+    at path ``(b,)`` of ``stream``, so the result is a function of the
+    stream and ``n_replicates`` and matches ``muse estimate`` at any
+    worker count.
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be a positive integer")
@@ -408,20 +451,17 @@ def estimate_utility(
         stream = RandomStream(int(stream))
     if not isinstance(stream, RandomStream):
         raise TypeError("estimate_utility needs a RandomStream (or int seed) to key replicates")
-    ctx = _compile_context(process, reward_spec, schedule, policy)
-    values = np.empty(n_replicates)
-    costs = np.empty(n_replicates, dtype=np.int64)
-    t0 = time.perf_counter()
-    for i in range(n_replicates):
-        v, c, _ = _run_batch(0, None, 1, stream.child(i).generator, ctx)
-        values[i] = v[0]
-        costs[i] = c[0]
-    wall = time.perf_counter() - t0
-    return summarize(values, costs, wall_time=wall)
+    task = MuseReplicateTask(process, reward_spec, schedule, policy)
+    _, values, costs, manifest = run_replicated(task, n_replicates, stream, workers=1)
+    return summarize(values, costs, wall_time=manifest.wall_time)
 
 
 class MuseReplicateTask:
-    """Picklable ``(index, stream) -> EstimatorSample`` job for the harness."""
+    """Picklable estimator job for the harness.
+
+    ``run_block(count, stream)`` runs ``count`` replicates as one batch on
+    ``stream``; calling the task runs a single replicate on its stream.
+    """
 
     def __init__(self, process, reward_spec, schedule, policy=LevelPolicy()):
         self.process = process
@@ -430,11 +470,14 @@ class MuseReplicateTask:
         self.policy = policy
         self._ctx = None
 
-    def __call__(self, index, stream) -> EstimatorSample:
+    def run_block(self, count, stream) -> SampleBlock:
         if self._ctx is None:
             self._ctx = _compile_context(self.process, self.reward_spec, self.schedule, self.policy)
-        v, c, lv = _run_batch(0, None, 1, stream.generator, self._ctx)
-        return EstimatorSample(value=float(v[0]), top_level=int(lv[0]), cost=int(c[0]), biased=self.policy.is_truncated)
+        v, c, lv = _run_batch(0, None, count, stream.generator, self._ctx)
+        return SampleBlock(v, lv, c, self.policy.is_truncated)
+
+    def __call__(self, index, stream) -> EstimatorSample:
+        return self.run_block(1, stream)[0]
 
     def __getstate__(self):
         state = self.__dict__.copy()

@@ -19,6 +19,7 @@ from scipy.special import ndtri
 
 from .estimator import LevelPolicy, RateSchedule, _compile_context, _run_batch
 from .inference import BatchSummary, summarize
+from .parallel import map_replicated
 from .processes import ProcessSpec
 from .rewards import RewardSpec
 from .streams import RandomStream, as_generator
@@ -139,10 +140,10 @@ def run_episode(process: ProcessSpec, reward_spec: RewardSpec, config: PolicyCon
 def run_stopping_policy(process: ProcessSpec, reward_spec: RewardSpec, config: PolicyConfig, episodes: int, stream) -> tuple[list[PolicyOutcome], BatchSummary]:
     """Run ``episodes`` independent episodes; returns (outcomes, reward summary).
 
-    Episode ``e`` uses substream ``(e,)``, matching the harness keying, so
-    sequential runs and parallel runs over episodes agree exactly.  The
-    summary's cost field counts inner estimator draws, the real sampling
-    bill of the policy.
+    This is the replication harness at one worker: episode ``e`` uses
+    substream ``(e,)`` of ``stream``, so it agrees exactly with ``muse
+    stop`` at any worker count.  The summary's cost field counts inner
+    estimator draws, the real sampling bill of the policy.
     """
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
@@ -150,7 +151,7 @@ def run_stopping_policy(process: ProcessSpec, reward_spec: RewardSpec, config: P
         stream = RandomStream(int(stream))
     if not isinstance(stream, RandomStream):
         raise TypeError("run_stopping_policy needs a RandomStream (or int seed) to key episodes")
-    outcomes = [run_episode(process, reward_spec, config, e, stream.child(e)) for e in range(episodes)]
+    outcomes, _ = map_replicated(PolicyEpisodeTask(process, reward_spec, config), episodes, stream, workers=1)
     rewards = np.array([o.realized_reward for o in outcomes], dtype=float)
     costs = np.array([o.inner_cost for o in outcomes], dtype=np.int64)
     return outcomes, summarize(rewards, costs)

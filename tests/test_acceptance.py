@@ -5,8 +5,8 @@ line with the measured quantities (visible with ``pytest -s``; on failure the
 same line is the assertion message).  Every stochastic check runs at its
 stated replicate count under a fixed seed, so the whole file is deterministic.
 
-Expect roughly 15 minutes single-core for the full file; the rate-tuning grid
-and the Bermudan baskets dominate.
+Expect about 2 minutes single-core for the full file; the Bermudan baskets
+dominate.
 """
 
 from __future__ import annotations

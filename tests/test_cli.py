@@ -2,9 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from musemc.cli import main
+from musemc.cli import _build_parser, _rate_grid, main
+from musemc.parallel import BLOCK_SIZE
 
 
 def run(args):
@@ -62,6 +64,20 @@ def test_estimate_worker_count_does_not_change_replicates(tmp_path):
     assert run(["estimate", "--replicates", 60, "--seed", 11, "--workers", 1, "--out-dir", a]) == 0
     assert run(["estimate", "--replicates", 60, "--seed", 11, "--workers", 2, "--out-dir", b]) == 0
     assert (a / "replicates.csv").read_bytes() == (b / "replicates.csv").read_bytes()
+
+
+def test_estimate_partial_last_block_is_worker_count_independent(tmp_path):
+    n = 2 * BLOCK_SIZE + 3
+    blobs = {}
+    for workers in (1, 2, 4):
+        out = tmp_path / f"w{workers}"
+        assert run(["estimate", "--replicates", n, "--seed", 12, "--workers", workers, "--out-dir", out]) == 0
+        blobs[workers] = (out / "replicates.csv").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["block_size"] == BLOCK_SIZE
+        assert manifest["workers"] == workers
+    assert blobs[2] == blobs[1] and blobs[4] == blobs[1]
+    assert len(read_csv(tmp_path / "w1" / "replicates.csv")) == n + 1
 
 
 def test_estimate_bootstrap_interval(tmp_path):
@@ -140,6 +156,15 @@ def test_tune_rate_grid_csv(tmp_path):
     assert [r[0] for r in rows[1:]] == ["0.580000", "0.590000", "0.600000"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert len(manifest["points"]) == 3
+
+
+def test_tune_rate_default_grid_stays_inside_its_bounds():
+    args = _build_parser().parse_args(["tune-rate"])
+    grid = _rate_grid(args.r_min, args.r_max, args.step)
+    assert grid.size == 20
+    assert grid[0] == args.r_min
+    assert np.all(grid <= args.r_max)
+    assert np.allclose(np.diff(grid), args.step)
 
 
 def test_tune_rate_grid_validation(tmp_path):
@@ -226,6 +251,10 @@ def test_stop_parallel_workers_agree(tmp_path):
              "--seed", 9, "--workers", workers, "--out-dir", out]
         )
         assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == workers
+        assert manifest["block_size"] == 1  # each episode has its own substream
+        assert manifest["total_replicates"] == 12
     assert (a / "episodes.csv").read_bytes() == (b / "episodes.csv").read_bytes()
 
 

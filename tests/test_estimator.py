@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import musemc.estimator as est
@@ -21,6 +21,8 @@ from musemc.estimator import (
     two_stage_muse,
 )
 from musemc.fixtures import deterministic_chain, two_point_two_stage
+from musemc.inference import summarize
+from musemc.parallel import BLOCK_SIZE, run_replicated
 from musemc.processes import EMPTY_HISTORY, gaussian_iid
 from musemc.rewards import identity_reward
 from musemc.streams import RandomStream, derive_substream
@@ -213,6 +215,7 @@ def test_delta_dominant_anchor_gives_exact_zero(case):
 
 @given(_delta_instances())
 @settings(max_examples=300, deadline=None)
+@example(case=(-6.343092305170435e-285, [0.0, -2.2172007232386065e-164]))
 def test_delta_bounded_by_half_average_gap(case):
     anchor, vals = case
     if len(vals) == 1:
@@ -223,8 +226,9 @@ def test_delta_bounded_by_half_average_gap(case):
     delta = antithetic_delta(anchor, vals)
     gap = 0.5 * abs(odd - even)
     assert abs(delta) <= gap + 1e-9 * (1.0 + gap)
-    if (odd - anchor) * (even - anchor) >= 0.0:
-        # both half-averages weakly on one side of the anchor
+    if (odd >= anchor and even >= anchor) or (odd <= anchor and even <= anchor):
+        # both half-averages weakly on one side of the anchor; compared one by
+        # one, since the product of the two gaps can underflow to zero
         assert delta == 0.0
 
 
@@ -401,6 +405,7 @@ def test_tiny_batch_caps_leave_the_mean_alone(monkeypatch):
     summary = estimate_utility(proc, identity_reward(), sched, n_replicates=4000, stream=RandomStream(36))
     monkeypatch.setattr(est, "_BIG_EXP", 3)
     monkeypatch.setattr(est, "_MAX_BATCH", 16)
+    monkeypatch.setattr(est, "_MAX_GROUP", 16)
     small = estimate_utility(proc, identity_reward(), sched, n_replicates=4000, stream=RandomStream(37))
     se = math.sqrt(summary.std_error**2 + small.std_error**2)
     assert abs(summary.mean - small.mean) <= 5 * se
@@ -420,16 +425,40 @@ def test_group_bounds_partition():
 
 
 def test_estimate_utility_keys_replicates_like_the_harness():
+    # block b of BLOCK_SIZE replicates is one batch on substream (b,); the last block is partial
     proc = gaussian_iid(horizon=3)
     sched = RateSchedule.constant(0.6, 3)
-    summary = estimate_utility(proc, identity_reward(), sched, n_replicates=5, stream=RandomStream(38))
-    singles = [
-        multi_stage_muse(0, EMPTY_HISTORY, proc, identity_reward(), sched, stream=derive_substream(38, (i,)))
-        for i in range(5)
-    ]
-    assert summary.n == 5
-    assert summary.mean == np.mean([s.value for s in singles])
-    assert summary.total_cost == sum(s.cost for s in singles)
+    n = BLOCK_SIZE + 5
+    summary = estimate_utility(proc, identity_reward(), sched, n_replicates=n, stream=RandomStream(38))
+    ctx = est._compile_context(proc, identity_reward(), sched, LevelPolicy())
+    blocks = [est._run_batch(0, None, count, derive_substream(38, (b,)).generator, ctx)
+              for b, count in enumerate((BLOCK_SIZE, 5))]
+    values = np.concatenate([v for v, _, _ in blocks])
+    costs = np.concatenate([c for _, c, _ in blocks])
+    assert summary.n == n
+    assert summary.mean == summarize(values, costs).mean
+    assert summary.variance == summarize(values, costs).variance
+    assert summary.total_cost == int(costs.sum())
+    _, harness_values, _, _ = run_replicated(MuseReplicateTask(proc, identity_reward(), sched), n, 38, workers=1)
+    assert np.array_equal(harness_values, values)
+
+
+def test_group_bounds_matches_the_row_loop():
+    def row_loop(m, cap):
+        bounds, a, acc = [], 0, 0
+        for i, mi in enumerate(m):
+            if acc + mi > cap and i > a:
+                bounds.append((a, i))
+                a, acc = i, 0
+            acc += int(mi)
+        bounds.append((a, m.size))
+        return bounds
+
+    rng = np.random.default_rng(44)
+    for _ in range(300):
+        m = np.int64(1) << rng.geometric(0.4, size=int(rng.integers(1, 60))).astype(np.int64)
+        cap = int(rng.choice([1, 2, 7, 16, 64, 1 << 10]))
+        assert est._group_bounds(m, cap) == row_loop(m, cap)
 
 
 def test_estimate_utility_accepts_int_seed():
@@ -455,6 +484,15 @@ def test_replicate_task_matches_direct_call():
     proc = gaussian_iid(horizon=3)
     sched = RateSchedule.constant(0.6, 3)
     task = MuseReplicateTask(proc, identity_reward(), sched)
+    block = task.run_block(7, derive_substream(41, (2,)))
+    ctx = est._compile_context(proc, identity_reward(), sched, LevelPolicy())
+    values, costs, levels = est._run_batch(0, None, 7, derive_substream(41, (2,)).generator, ctx)
+    assert len(block) == 7
+    assert np.array_equal(block.values, values)
+    assert np.array_equal(block.costs, costs)
+    assert np.array_equal(block.top_levels, levels)
+    assert block[3] == EstimatorSample(float(values[3]), int(levels[3]), int(costs[3]))
+    # a one-replicate block is exactly one multi_stage_muse replicate
     direct = multi_stage_muse(0, EMPTY_HISTORY, proc, identity_reward(), sched, stream=derive_substream(41, (2,)))
     via_task = task(2, derive_substream(41, (2,)))
     assert via_task == EstimatorSample(direct.value, direct.top_level, direct.cost)
@@ -464,7 +502,7 @@ def test_replicate_task_pickles_without_context():
     import pickle
 
     task = MuseReplicateTask(gaussian_iid(horizon=2), identity_reward(), RateSchedule.constant(0.6, 2))
-    task(0, stream(42))  # warm the compiled context
+    task.run_block(BLOCK_SIZE, stream(42))  # warm the compiled context
     clone = pickle.loads(pickle.dumps(task))
     assert clone._ctx is None
-    assert clone(0, stream(42)) == task(0, stream(42))
+    assert np.array_equal(clone.run_block(BLOCK_SIZE, stream(42)).values, task.run_block(BLOCK_SIZE, stream(42)).values)

@@ -7,6 +7,7 @@ import pytest
 from musemc.estimator import MuseReplicateTask, RateSchedule
 from musemc.fixtures import two_point_two_stage
 from musemc.parallel import (
+    BLOCK_SIZE,
     ReplicateError,
     SeedSpec,
     map_replicated,
@@ -45,6 +46,7 @@ def test_results_are_ordered_and_keyed_by_index():
         assert draw == derive_substream(17, (i,)).generator.random()
     assert manifest.total_replicates == 10
     assert manifest.chunk_size == 3
+    assert manifest.block_size == 1
 
 
 def test_single_and_multi_worker_agree_exactly():
@@ -55,19 +57,31 @@ def test_single_and_multi_worker_agree_exactly():
 
 def test_chunk_size_never_changes_results():
     task = fixture_task()
-    base, _ = map_replicated(task, 30, seed=6, workers=1, chunk_size=1)
-    for chunk in (4, 7, 30, None):
-        again, _ = map_replicated(task, 30, seed=6, workers=1, chunk_size=chunk)
-        assert again == base
+    n = 2 * BLOCK_SIZE + 3
+    base, _, _, manifest = run_replicated(task, n, seed=6, workers=1, chunk_size=1)
+    assert manifest.chunk_size == BLOCK_SIZE  # chunks hold whole blocks
+    for chunk in (BLOCK_SIZE + 1, 2 * BLOCK_SIZE, n, None):
+        again, _, _, manifest = run_replicated(task, n, seed=6, workers=1, chunk_size=chunk)
+        assert manifest.chunk_size % BLOCK_SIZE == 0
+        assert np.array_equal(again.values, base.values)
+        assert np.array_equal(again.top_levels, base.top_levels)
+        assert np.array_equal(again.costs, base.costs)
 
 
 def test_estimator_task_parallel_equals_sequential():
     task = fixture_task()
-    _, values1, costs1, _ = run_replicated(task, 24, seed=8, workers=1)
-    _, values2, costs2, _ = run_replicated(task, 24, seed=8, workers=2, chunk_size=5)
+    n = 2 * BLOCK_SIZE + 3
+    samples, values1, costs1, _ = run_replicated(task, n, seed=8, workers=1)
+    _, values2, costs2, _ = run_replicated(task, n, seed=8, workers=2, chunk_size=5)
     assert np.array_equal(values1, values2)
     assert np.array_equal(costs1, costs2)
     assert costs1.sum() > 0
+    # block b is one batch of BLOCK_SIZE replicates (3 in the last) on substream (b,)
+    assert len(samples) == n
+    for b, count in enumerate((BLOCK_SIZE, BLOCK_SIZE, 3)):
+        block = task.run_block(count, derive_substream(8, (b,)))
+        assert np.array_equal(values1[b * BLOCK_SIZE:b * BLOCK_SIZE + count], block.values)
+        assert np.array_equal(costs1[b * BLOCK_SIZE:b * BLOCK_SIZE + count], block.costs)
 
 
 def test_workers_env_wins(monkeypatch):
@@ -89,6 +103,23 @@ def test_fail_fast_reports_the_replicate_index():
     assert "synthetic divergence" in str(err.value)
 
 
+class FailInBlock:
+    def run_block(self, count, stream):
+        raise ValueError("synthetic block divergence")
+
+
+def test_fail_fast_reports_the_first_replicate_of_the_block():
+    with pytest.raises(ReplicateError) as err:
+        map_replicated(FailInBlock(), BLOCK_SIZE + 1, seed=0, workers=1)
+    assert err.value.index == 0
+    assert "in block 0" in str(err.value)
+
+
+def test_a_stream_root_keys_items_below_its_path():
+    results, _ = map_replicated(EchoTask(), 4, seed=derive_substream(17, (3,)), workers=1)
+    assert [draw for _, draw in results] == [derive_substream(17, (3, i)).generator.random() for i in range(4)]
+
+
 def test_fail_fast_across_processes():
     with pytest.raises(ReplicateError) as err:
         map_replicated(FailAt(3), 8, seed=0, workers=2, chunk_size=2)
@@ -105,8 +136,10 @@ def test_replicate_error_survives_pickling():
 
 def test_manifest_accounting(tmp_path):
     task = fixture_task()
-    _, manifest = map_replicated(task, 12, seed=3, workers=1, config={"note": "fixture"})
+    blocks, manifest = map_replicated(task, 12, seed=3, workers=1, config={"note": "fixture"})
+    assert len(blocks) == 1 and len(blocks[0]) == 12
     assert manifest.master_seed == 3
+    assert manifest.block_size == BLOCK_SIZE
     assert sum(manifest.worker_replicates.values()) == 12
     assert manifest.wall_time >= 0.0
     assert all(t >= 0.0 for t in manifest.worker_wall_times.values())
@@ -117,6 +150,7 @@ def test_manifest_accounting(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["total_replicates"] == 12
     assert payload["workers"] == 1
+    assert payload["block_size"] == BLOCK_SIZE
     assert payload["config"] == {"note": "fixture"}
 
 

@@ -18,7 +18,6 @@ from musemc import (
     MuseReplicateTask,
     RateSchedule,
     RunManifest,
-    SeedSpec,
     gaussian_iid,
     identity_reward,
     run_replicated,
@@ -33,7 +32,7 @@ def run() -> None:
 
     runs = {}
     for workers in (1, 2, 4):
-        _, values, costs, _ = run_replicated(task, N_REPLICATES, SeedSpec(SEED), workers=workers)
+        _, values, costs, _ = run_replicated(task, N_REPLICATES, SEED, workers=workers)
         runs[workers] = values
         print(f"workers={workers}: mean {values.mean():.6f}, total cost {int(costs.sum())}")
 
@@ -42,7 +41,7 @@ def run() -> None:
     print(f"\nper-replicate values identical across worker counts: "
           f"1 vs 2 -> {same_12}, 1 vs 4 -> {same_14}")
 
-    _, _, _, manifest = run_replicated(task, N_REPLICATES, SeedSpec(SEED), workers=2)
+    _, _, _, manifest = run_replicated(task, N_REPLICATES, SEED, workers=2)
     assert isinstance(manifest, RunManifest)
     print("\nrun manifest (what a pinned rerun needs):")
     for key, value in manifest.to_json().items():

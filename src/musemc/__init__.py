@@ -34,7 +34,7 @@ from .inference import (
     summarize,
     summary_to_json,
 )
-from .parallel import ReplicateError, RunManifest, SeedSpec, map_replicated, resolve_workers, run_replicated
+from .parallel import ReplicateError, RunManifest, map_replicated, resolve_workers, run_replicated
 from .policy import (
     PolicyConfig,
     PolicyEpisodeTask,

@@ -6,7 +6,10 @@ cost-adjusted variance), ``gaussian-suite`` (estimator vs. oracle vs. biased
 baselines across horizons), ``bermudan`` (max-timing of a discounted basket
 put under GBM), and ``stop`` (episodes of the estimator-driven stopping
 policy).  Every command honors ``--seed``, ``--workers`` (overridden by the
-``MUSE_WORKERS`` environment variable), ``--out-dir``, and ``--config``.
+``MUSE_WORKERS`` environment variable) and ``--out-dir``; ``estimate`` and
+``stop`` also read ``--config``.  The commands share one pipeline: flags
+become an instance and a rate schedule (``_resolve_instance``,
+``_resolve_schedule``), and ``_run`` runs and summarizes the replicates.
 """
 
 from __future__ import annotations
@@ -47,12 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="master seed keying every stream in the run")
     common.add_argument("--workers", type=int, default=None, help="worker processes (MUSE_WORKERS overrides)")
     common.add_argument("--out-dir", default=".", help="directory for CSV/JSON outputs")
-    common.add_argument("--config", default=None, help="JSON file with 'process'/'reward' objects")
 
     parser = argparse.ArgumentParser(prog="muse", description="Unbiased multilevel estimation for optimal stopping")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate", parents=[common], help="estimate the stopping value of one instance")
+    _add_config_flag(p)
     _add_process_flags(p)
     _add_schedule_flags(p)
     p.add_argument("--replicates", type=int, default=100_000)
@@ -78,22 +81,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", type=int, default=1000)
     p.add_argument("--arity", type=int, default=5)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(handler=_cmd_gaussian_suite)
+    p.set_defaults(handler=_cmd_gaussian_suite, delta_mom=None)
 
     p = sub.add_parser("bermudan", parents=[common], help="discounted basket put under multi-asset GBM")
-    p.add_argument("--dim", type=int, default=5)
+    # read into the names the shared instance/schedule path uses
+    p.add_argument("--dim", dest="dimension", type=int, default=5)
     p.add_argument("--strike", type=float, default=100.0)
     p.add_argument("--spot", type=float, default=100.0)
     p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--rate", type=float, default=0.05, help="risk-free rate (drift and discount)")
+    p.add_argument("--rate", dest="gamma", type=float, default=0.05, help="risk-free rate (drift and discount)")
     p.add_argument("--div", type=float, default=0.0, help="dividend yield")
     p.add_argument("--dates", default="0,1,2,3", help="comma-separated exercise dates (years)")
     p.add_argument("--replicates", type=int, default=100_000)
-    p.add_argument("--geo-rate", default="0.6", help="geometric rate(s) for the level draws")
+    p.add_argument("--geo-rate", dest="rates", default="0.6", help="geometric rate(s) for the level draws")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(handler=_cmd_bermudan)
+    p.set_defaults(handler=_cmd_bermudan, process="gbm", reward=None, delta_mom=None)
 
     p = sub.add_parser("stop", parents=[common], help="run the estimator-driven stopping policy")
+    _add_config_flag(p)
     _add_process_flags(p)
     _add_schedule_flags(p)
     p.add_argument("--episodes", type=int, default=1000)
@@ -103,6 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_stop)
 
     return parser
+
+
+def _add_config_flag(p):
+    p.add_argument("--config", default=None, help="JSON file with 'process'/'reward' objects")
 
 
 def _add_process_flags(p):
@@ -200,14 +209,19 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _estimate_and_write(args, process, reward_spec, schedule, policy, config_snapshot):
+def _run(args, process, reward_spec, schedule, policy=LevelPolicy(), config=None):
+    """Run ``args.replicates`` replicates of one instance; returns (samples, summary, manifest)."""
     task = MuseReplicateTask(process, reward_spec, schedule, policy)
     samples, values, costs, manifest = run_replicated(
-        task, args.replicates, args.seed, workers=args.workers, config=config_snapshot
+        task, args.replicates, args.seed, workers=args.workers, config=config
     )
-    summary = summarize(values, costs, wall_time=manifest.wall_time)
+    return samples, summarize(values, costs, wall_time=manifest.wall_time), manifest
+
+
+def _estimate_and_write(args, process, reward_spec, schedule, policy, config_snapshot):
+    samples, summary, manifest = _run(args, process, reward_spec, schedule, policy, config_snapshot)
     if getattr(args, "ci", "clt") == "bootstrap":
-        ci = bootstrap_ci(values, alpha=args.alpha, resamples=getattr(args, "bootstrap_resamples", 1000),
+        ci = bootstrap_ci(samples.values, alpha=args.alpha, resamples=getattr(args, "bootstrap_resamples", 1000),
                           stream=derive_substream(args.seed, (_BOOTSTRAP_KEY,)))
     else:
         ci = clt_ci(summary, alpha=args.alpha)
@@ -257,9 +271,8 @@ def _cmd_tune_rate(args) -> int:
     rows = []
     manifests = []
     for r in grid:
-        schedule = RateSchedule.constant(float(r), args.horizon)
-        task = MuseReplicateTask(process, reward_spec, schedule)
-        _, values, costs, manifest = run_replicated(task, args.replicates, args.seed, workers=args.workers)
+        samples, _, manifest = _run(args, process, reward_spec, RateSchedule.constant(float(r), args.horizon))
+        values, costs = samples.values, samples.costs
         rows.append((float(r), float(costs.mean()), float(np.var(values, ddof=1)), self_normalized_variance(values, costs)))
         manifests.append(manifest.to_json())
     path = _out_path(args, "rate_grid.csv")
@@ -278,20 +291,15 @@ def _cmd_gaussian_suite(args) -> int:
     horizons = [int(float(tok)) for tok in str(args.horizons).split(",") if tok.strip()]
     if not horizons or min(horizons) < 2:
         raise ValueError("horizons must be a comma-separated list of integers >= 2")
-    base_rates = _parse_floats(args.rates)
+    longest = _resolve_schedule(args, max(horizons))
     rows = []
     manifests = []
     for horizon in horizons:
         process = gaussian_iid(horizon=horizon)
         reward_spec = identity_reward()
-        if len(base_rates) == 1:
-            schedule = RateSchedule.constant(base_rates[0], horizon)
-        else:
-            schedule = RateSchedule(rates=tuple(base_rates[: horizon - 1]))
-        task = MuseReplicateTask(process, reward_spec, schedule)
-        _, values, costs, manifest = run_replicated(task, args.replicates, args.seed, workers=args.workers)
+        schedule = RateSchedule(rates=longest.rates[: horizon - 1])
+        _, summary, manifest = _run(args, process, reward_spec, schedule)
         manifests.append(manifest.to_json())
-        summary = summarize(values, costs, wall_time=manifest.wall_time)
         ci = clt_ci(summary, alpha=args.alpha)
         oracle = gaussian_dp_oracle(horizon)
         mc1 = mc1_estimate(process, reward_spec, horizon, args.mc1_paths, derive_substream(args.seed, (_BOOTSTRAP_KEY + 1, horizon)))
@@ -328,28 +336,17 @@ def _cmd_gaussian_suite(args) -> int:
 
 
 def _cmd_bermudan(args) -> int:
-    dates = _parse_floats(args.dates)
-    process = gbm(
-        dimension=args.dim,
-        horizon=len(dates),
-        gamma=args.rate,
-        div_yield=args.div,
-        sigma=args.sigma,
-        spot=args.spot,
-        times=dates,
-    )
-    reward_spec = basket_put(strike=args.strike, discount=args.rate, times=dates)
-    geo = _parse_floats(args.geo_rate)
-    schedule = RateSchedule.constant(geo[0], process.horizon) if len(geo) == 1 else RateSchedule(rates=tuple(geo))
+    process, reward_spec = _resolve_instance(args, {})
+    schedule = _resolve_schedule(args, process.horizon)
     snapshot = {
         "command": "bermudan",
-        "dim": args.dim,
+        "dim": args.dimension,
         "strike": args.strike,
         "spot": args.spot,
         "sigma": args.sigma,
-        "rate": args.rate,
+        "rate": args.gamma,
         "div": args.div,
-        "dates": dates,
+        "dates": list(process.times),
         "rates": list(schedule.rates),
         "replicates": args.replicates,
     }

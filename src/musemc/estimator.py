@@ -35,7 +35,7 @@ from .streams import RandomStream, as_generator
 UNTRUNCATED = "untruncated"
 TRUNCATED = "truncated"
 
-_MAX_BATCH = 1 << 16  # cap on a chunk of one row's children; must stay even
+_MAX_BATCH = 1 << 16  # cap on a chunk of one row's children; a power of two
 _BIG_EXP = 16         # levels at or above this are reduced in chunks
 # cap on the children of several rows expanded together; far below
 # _MAX_BATCH so that a block holding one heavy-tailed replicate keeps its
@@ -202,15 +202,19 @@ def antithetic_delta(anchor: float, values) -> float:
     if m == 1:
         return max(anchor, float(v[0]))
     h = m // 2
-    return _delta_scalar(anchor, float(v[0::2].sum()) / h, float(v[1::2].sum()) / h)
+    return float(_delta(anchor, float(v[0::2].sum()) / h, float(v[1::2].sum()) / h))
 
 
-def _delta_scalar(anchor, odd_avg, even_avg):
-    # the full average is formed from the half-averages so that the
-    # correction is *exactly* zero when both halves fall weakly on one
-    # side of the anchor, not just zero up to rounding
+def _delta(anchor, odd_avg, even_avg):
+    """max(anchor, full average) minus the mean of max(anchor, half average).
+
+    Elementwise over arrays or scalars.  The full average is formed from
+    the half-averages so that the correction is *exactly* zero when both
+    halves fall weakly on one side of the anchor, not just zero up to
+    rounding.
+    """
     full = 0.5 * (odd_avg + even_avg)
-    return max(anchor, full) - 0.5 * (max(anchor, odd_avg) + max(anchor, even_avg))
+    return np.maximum(anchor, full) - 0.5 * (np.maximum(anchor, odd_avg) + np.maximum(anchor, even_avg))
 
 
 def _sample_levels(gen, r, count, policy):
@@ -232,21 +236,17 @@ def _log_norm(r, policy):
 
 def _pmf(r, levels, policy):
     """P(N = level) under the policy, evaluated in log space."""
-    logp = math.log(r) + np.asarray(levels, dtype=float) * math.log1p(-r) - _log_norm(r, policy)
+    logp = math.log(r) + levels * math.log1p(-r) - _log_norm(r, policy)
     return np.exp(logp)
-
-
-def _pmf_scalar(r, level, policy):
-    return math.exp(math.log(r) + level * math.log1p(-r) - _log_norm(r, policy))
 
 
 @dataclass
 class _Context:
     horizon: int
     rates: tuple[float, ...]
-    policy: LevelPolicy
     step: Callable
     rew: Callable
+    policy: LevelPolicy = LevelPolicy()
 
 
 def _compile_context(process: ProcessSpec, reward_spec: RewardSpec, schedule: RateSchedule, policy: LevelPolicy) -> _Context:
@@ -289,7 +289,7 @@ def _run_batch(k, parents, count, gen, ctx):
             rows = small[a:b]
             _reduce_rows(k, x, anchors, levels, m[a:b], rows, values, costs, gen, ctx, r)
     for i in np.nonzero(big)[0]:
-        values[i], costs[i] = _reduce_big_row(k, x[i], anchors[i], int(levels[i]), gen, ctx, r)
+        values[i], costs[i] = _reduce_row(k, x[i : i + 1], float(anchors[i]), int(levels[i]), gen, ctx, r)
     return values, costs, levels
 
 
@@ -327,40 +327,31 @@ def _reduce_rows(k, x, anchors, levels, m, rows, values, costs, gen, ctx, r):
     child_cost = np.bincount(seg, weights=cc, minlength=g)
 
     a = anchors[rows]
-    delta = np.empty(g)
-    single = m == 1
-    if single.any():
-        delta[single] = np.maximum(a[single], tot[single])
-    multi = ~single
-    if multi.any():
-        h = 0.5 * m[multi].astype(float)
-        am = a[multi]
-        odd_avg = odd[multi] / h
-        even_avg = even[multi] / h
-        full = np.maximum(am, 0.5 * (odd_avg + even_avg))
-        delta[multi] = full - 0.5 * (np.maximum(am, odd_avg) + np.maximum(am, even_avg))
-
+    h = 0.5 * m
+    delta = np.where(m == 1, np.maximum(a, tot), _delta(a, odd / h, even / h))
     values[rows] = delta / _pmf(r, levels[rows], ctx.policy)
     costs[rows] = 1 + np.rint(child_cost).astype(np.int64)
 
 
-def _reduce_big_row(k, xi, anchor, level, gen, ctx, r):
-    """One row with 2^level children, accumulated in even-sized chunks."""
+def _reduce_row(k, row, anchor, level, gen, ctx, r):
+    """(value, cost) of one row, shape (1, d), with 2^level children run in chunks."""
     m = 1 << level
-    parent = xi[None, :]
-    tot = odd = 0.0
-    cost = 1
-    remaining = m
-    while remaining:
-        c = min(remaining, _MAX_BATCH)
-        cv, cc, _ = _run_batch(k + 1, np.broadcast_to(parent, (c, xi.size)), c, gen, ctx)
-        tot += float(cv.sum())
-        odd += float(cv[0::2].sum())  # chunks stay even, so parity survives chunking
-        cost += int(cc.sum())
-        remaining -= c
-    h = m // 2
-    delta = _delta_scalar(float(anchor), odd / h, (tot - odd) / h)
-    return delta / _pmf_scalar(r, level, ctx.policy), cost
+    if m == 1:
+        cv, cc, _ = _run_batch(k + 1, row, 1, gen, ctx)
+        delta, cost = max(anchor, float(cv[0])), 1 + int(cc[0])
+    else:
+        c = min(m, _MAX_BATCH)
+        parents = np.broadcast_to(row, (c, row.shape[1]))
+        tot = odd = 0.0
+        cost = 1
+        for _chunk in range(m // c):
+            cv, cc, _ = _run_batch(k + 1, parents, c, gen, ctx)
+            tot += float(cv.sum())
+            odd += float(cv[0::2].sum())  # chunks stay even, so parity survives chunking
+            cost += int(cc.sum())
+        h = m // 2
+        delta = _delta(anchor, odd / h, (tot - odd) / h)
+    return float(delta / _pmf(r, level, ctx.policy)), cost
 
 
 def two_stage_muse(process: ProcessSpec, reward_spec: RewardSpec, r: float, stream) -> EstimatorSample:
@@ -368,36 +359,19 @@ def two_stage_muse(process: ProcessSpec, reward_spec: RewardSpec, r: float, stre
 
     Draws the level N first, then X_1, then the 2^N conditional second-stage
     samples, and forms the antithetic difference around max(f(X_1), .).
+    The samples are reduced on the chunked row path of the multi-stage
+    estimator; only the draw order is this function's own.
     """
     if process.horizon != 2:
         raise ValueError(f"two-stage estimation needs horizon 2, got {process.horizon}")
     if not 0.5 < r < 1.0:
         raise ValueError("r must lie in (1/2, 1)")
     gen = as_generator(stream)
-    step = compile_stepper(process)
-    rew = compile_reward(reward_spec)
-
-    level = int(gen.geometric(r)) - 1
-    x1 = step(1, None, 1, gen)
-    anchor = float(rew(1, x1)[0])
-
-    m = 1 << level
-    tot = odd = 0.0
-    remaining = m
-    while remaining:
-        c = min(remaining, _MAX_BATCH)
-        leaves = step(2, np.broadcast_to(x1, (c, process.dimension)), c, gen)
-        fv = np.asarray(rew(2, leaves), dtype=float)
-        tot += float(fv.sum())
-        odd += float(fv[0::2].sum())
-        remaining -= c
-    if m == 1:
-        delta = max(anchor, tot)
-    else:
-        h = m // 2
-        delta = _delta_scalar(anchor, odd / h, (tot - odd) / h)
-    value = delta / _pmf_scalar(r, level, LevelPolicy())
-    return EstimatorSample(value=float(value), top_level=level, cost=1 + m)
+    ctx = _Context(2, (r,), compile_stepper(process), compile_reward(reward_spec))
+    level = sample_geometric_level(r, gen)
+    x1 = ctx.step(1, None, 1, gen)
+    value, cost = _reduce_row(0, x1, float(ctx.rew(1, x1)[0]), level, gen, ctx, r)
+    return EstimatorSample(value=value, top_level=level, cost=cost)
 
 
 def multi_stage_muse(

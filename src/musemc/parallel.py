@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import RandomStream, derive_substream
+from .streams import RandomStream
 
 BLOCK_SIZE = 256  # replicates per keyed block of a block task
 DEFAULT_CHUNK = 64  # cap on the units (items or blocks) in an automatic chunk
@@ -42,16 +42,6 @@ class ReplicateError(RuntimeError):
 
     def __reduce__(self):
         return (ReplicateError, (self.index, self.detail))
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Root seed of a run; unit ``i`` (an item or a block) draws from substream ``(i,)``."""
-
-    master_seed: int
-
-    def stream_for(self, index: int):
-        return derive_substream(self.master_seed, (index,))
 
 
 @dataclass
@@ -109,8 +99,6 @@ def _unit_size(task) -> int:
 def _root(seed) -> RandomStream:
     if isinstance(seed, RandomStream):
         return seed
-    if isinstance(seed, SeedSpec):
-        return RandomStream(seed.master_seed)
     return RandomStream(int(seed))
 
 
@@ -149,7 +137,7 @@ def _chunk_size(n: int, workers: int, size: int, requested: int | None) -> int:
 def map_replicated(task, n_replicates: int, seed, workers: int | None = None, chunk_size: int | None = None, config: dict | None = None):
     """Run ``task`` over items 0..n-1; returns (results, manifest).
 
-    ``seed`` is an int, a ``SeedSpec`` or the ``RandomStream`` the run is
+    ``seed`` is an int or the ``RandomStream`` the run is
     rooted at.  A plain task is called as ``task(i, stream_i)`` and gives
     one result per item; a block task is called as
     ``task.run_block(count, stream_b)`` and gives one result per block.

@@ -137,6 +137,21 @@ def test_estimate_flag_validation(tmp_path):
     assert run(["estimate", "--rates", "0.6,0.6", "--horizon", 4, "--out-dir", tmp_path]) == 1
 
 
+def test_rate_counts_must_match_the_horizon(tmp_path):
+    """A rate list of the wrong length is a user error, not a traceback."""
+    assert run(["bermudan", "--dates", "0,1,2,3", "--geo-rate", "0.6,0.6", "--out-dir", tmp_path]) == 1
+    assert run(["gaussian-suite", "--horizons", "2,4", "--rates", "0.6,0.6", "--out-dir", tmp_path]) == 1
+    assert run(["gaussian-suite", "--horizons", "2,3", "--rates", "0.6,0.6,0.6", "--out-dir", tmp_path]) == 1
+
+
+def test_config_is_only_read_by_estimate_and_stop(tmp_path):
+    cfg = tmp_path / "x.json"
+    cfg.write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        run(["tune-rate", "--config", cfg, "--out-dir", tmp_path])
+    assert exc.value.code == 2
+
+
 def test_estimate_delta_mom_schedule(tmp_path):
     assert run(["estimate", "--horizon", 3, "--delta-mom", 0.1, "--replicates", 20, "--out-dir", tmp_path]) == 0
 

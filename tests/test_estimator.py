@@ -280,6 +280,29 @@ def test_two_stage_guards():
         two_stage_muse(gaussian_iid(horizon=2), identity_reward(), 1.0, stream(26))
 
 
+@pytest.mark.parametrize("key, level", [((0,), 0), ((88,), 2)])
+def test_two_stage_replays_level_then_x1_then_leaves(key, level):
+    """Replayed by hand: the level, then X_1, then the 2^N leaves, then delta / P(N).
+
+    Key (88,) has a nonzero correction at N = 2.  Its leaves sum so that the
+    total minus the odd half is exactly the even half, so both ways of
+    forming the halves agree and only the pmf's exp may move the last bit.
+    """
+    r = 0.6
+    s = two_stage_muse(gaussian_iid(horizon=2), identity_reward(), r, derive_substream(3, key))
+    gen = derive_substream(3, key).generator
+    drawn = int(gen.geometric(r)) - 1
+    anchor = gen.standard_normal((1, 1))[0, 0]
+    leaves = gen.standard_normal((1 << drawn, 1))[:, 0]
+    assert drawn == level
+    assert leaves.sum() - leaves[0::2].sum() == leaves[1::2].sum()
+    want = antithetic_delta(anchor, leaves) / math.exp(math.log(r) + level * math.log1p(-r))
+    assert s.top_level == level
+    assert s.cost == 1 + 2**level
+    assert abs(s.value - want) <= np.spacing(abs(want))
+    assert s.value != 0.0
+
+
 def test_two_stage_chunked_accumulation_is_invariant(monkeypatch):
     """Splitting the leaf block into small chunks must not change the draw."""
     key = (1173,)  # this substream's first level draw is deep (N = 11)

@@ -9,7 +9,6 @@ from musemc.fixtures import two_point_two_stage
 from musemc.parallel import (
     BLOCK_SIZE,
     ReplicateError,
-    SeedSpec,
     map_replicated,
     resolve_workers,
     run_replicated,
@@ -159,11 +158,6 @@ def test_single_replicate_run():
     assert len(results) == 1
     assert manifest.total_replicates == 1
     assert sum(manifest.worker_replicates.values()) == 1
-
-
-def test_seed_spec_keying():
-    spec = SeedSpec(21)
-    assert spec.stream_for(4).generator.random() == derive_substream(21, (4,)).generator.random()
 
 
 def test_map_replicated_guards():

@@ -11,11 +11,12 @@ an independent replicate of the next stage's value.
 
 A batch of replicates expands its trees level by level and reduces them
 with vectorized segment sums, so per-node Python overhead is paid per
-*level*, not per sample.  Rows are expanded together in groups of at most
-``_MAX_GROUP`` children, and a row with 2^``_BIG_EXP`` or more children is
-accumulated in even-sized chunks of ``_MAX_BATCH``, keeping memory bounded
-by the caps rather than by 2^N.  All randomness comes from the caller's
-stream; one batch consumes its generator in a fixed deterministic order.
+*level*, not per sample.  One cap, ``_MAX_GROUP``, bounds the children
+expanded at once: rows are expanded in index order in groups of at most
+that many children, and a wider row runs in place as even-sized chunks of
+the cap, so memory is bounded by the cap rather than by 2^N.  All
+randomness comes from the caller's stream; one batch consumes its
+generator in a fixed deterministic order.
 """
 
 from __future__ import annotations
@@ -30,16 +31,13 @@ from .inference import BatchSummary, summarize
 from .parallel import run_replicated
 from .processes import ProcessSpec, TrajectoryHistory, compile_stepper, validate_history
 from .rewards import RewardSpec, compile_reward
-from .streams import RandomStream, as_generator
+from .streams import as_generator
 
 UNTRUNCATED = "untruncated"
 TRUNCATED = "truncated"
 
-_MAX_BATCH = 1 << 16  # cap on a chunk of one row's children; a power of two
-_BIG_EXP = 16         # levels at or above this are reduced in chunks
-# cap on the children of several rows expanded together; far below
-# _MAX_BATCH so that a block holding one heavy-tailed replicate keeps its
-# transient arrays small (a single row may still exceed it, up to 2^(_BIG_EXP-1))
+# cap on the children expanded in one batch, whether of several rows or a
+# chunk of one wide row; a power of two, so a wide row's chunks stay even
 _MAX_GROUP = 1 << 13
 
 
@@ -267,8 +265,11 @@ def _run_batch(k, parents, count, gen, ctx):
     """``count`` independent stage-k replicates conditioned row-wise on ``parents``.
 
     Returns (values, costs, levels) arrays of length ``count``.  ``parents``
-    is ``None`` only at stage 0.  Children of all rows are expanded together
-    and reduced by segment, so the per-level work is a handful of vector ops.
+    is ``None`` only at stage 0.  Rows are expanded in index order, in
+    groups of at most ``_MAX_GROUP`` children; a row wider than that is a
+    group of its own and runs as several even-sized batches of
+    ``_MAX_GROUP`` children.  Child sums are accumulated per row, and one
+    vectorized pass turns each group's rows into their values.
     """
     x = ctx.step(k + 1, parents, count, gen)
     if k == ctx.horizon - 1:
@@ -278,18 +279,29 @@ def _run_batch(k, parents, count, gen, ctx):
     anchors = np.asarray(ctx.rew(k + 1, x), dtype=float)
     r = ctx.rates[k]
     levels = _sample_levels(gen, r, count, ctx.policy)
+    m = np.int64(1) << levels
     values = np.empty(count)
     costs = np.empty(count, dtype=np.int64)
-
-    big = levels >= _BIG_EXP
-    small = np.nonzero(~big)[0]
-    if small.size:
-        m = np.int64(1) << levels[small]
-        for a, b in _group_bounds(m, _MAX_GROUP):
-            rows = small[a:b]
-            _reduce_rows(k, x, anchors, levels, m[a:b], rows, values, costs, gen, ctx, r)
-    for i in np.nonzero(big)[0]:
-        values[i], costs[i] = _reduce_row(k, x[i : i + 1], float(anchors[i]), int(levels[i]), gen, ctx, r)
+    for a, b in _group_bounds(m, _MAX_GROUP):
+        mg = m[a:b]
+        batches = max(1, int(mg.sum()) // _MAX_GROUP)  # > 1 only for one wide row
+        width = mg // batches  # children per row in each batch; even when batches > 1
+        seg = np.repeat(np.arange(b - a), width)
+        starts = np.cumsum(width) - width
+        odd_mask = ((np.arange(seg.size) - starts[seg]) & 1) == 0  # children 1, 3, 5, ... of a row
+        child_parents = np.repeat(x[a:b], width, axis=0)
+        tot = odd = child_cost = 0.0
+        for _batch in range(batches):
+            cv, cc, _ = _run_batch(k + 1, child_parents, seg.size, gen, ctx)
+            tot += np.bincount(seg, weights=cv, minlength=b - a)
+            odd += np.bincount(seg[odd_mask], weights=cv[odd_mask], minlength=b - a)
+            child_cost += np.bincount(seg, weights=cc, minlength=b - a)
+        # valued per group while its arrays are still in cache: one pass over
+        # a 5e4-row batch took about twice as long as the per-group passes
+        h = 0.5 * mg
+        delta = np.where(mg == 1, np.maximum(anchors[a:b], tot), _delta(anchors[a:b], odd / h, (tot - odd) / h))
+        values[a:b] = delta / _pmf(r, levels[a:b], ctx.policy)
+        costs[a:b] = 1 + np.rint(child_cost).astype(np.int64)
     return values, costs, levels
 
 
@@ -312,55 +324,12 @@ def _group_bounds(m, cap):
     return bounds
 
 
-def _reduce_rows(k, x, anchors, levels, m, rows, values, costs, gen, ctx, r):
-    child_parents = np.repeat(x[rows], m, axis=0)
-    cv, cc, _ = _run_batch(k + 1, child_parents, int(m.sum()), gen, ctx)
-
-    g = rows.size
-    seg = np.repeat(np.arange(g), m)
-    starts = np.concatenate(([0], np.cumsum(m)[:-1]))
-    pos = np.arange(cv.size, dtype=np.int64) - starts[seg]
-    odd_mask = (pos & 1) == 0  # children 1, 3, 5, ... within each block
-    tot = np.bincount(seg, weights=cv, minlength=g)
-    odd = np.bincount(seg[odd_mask], weights=cv[odd_mask], minlength=g)
-    even = tot - odd
-    child_cost = np.bincount(seg, weights=cc, minlength=g)
-
-    a = anchors[rows]
-    h = 0.5 * m
-    delta = np.where(m == 1, np.maximum(a, tot), _delta(a, odd / h, even / h))
-    values[rows] = delta / _pmf(r, levels[rows], ctx.policy)
-    costs[rows] = 1 + np.rint(child_cost).astype(np.int64)
-
-
-def _reduce_row(k, row, anchor, level, gen, ctx, r):
-    """(value, cost) of one row, shape (1, d), with 2^level children run in chunks."""
-    m = 1 << level
-    if m == 1:
-        cv, cc, _ = _run_batch(k + 1, row, 1, gen, ctx)
-        delta, cost = max(anchor, float(cv[0])), 1 + int(cc[0])
-    else:
-        c = min(m, _MAX_BATCH)
-        parents = np.broadcast_to(row, (c, row.shape[1]))
-        tot = odd = 0.0
-        cost = 1
-        for _chunk in range(m // c):
-            cv, cc, _ = _run_batch(k + 1, parents, c, gen, ctx)
-            tot += float(cv.sum())
-            odd += float(cv[0::2].sum())  # chunks stay even, so parity survives chunking
-            cost += int(cc.sum())
-        h = m // 2
-        delta = _delta(anchor, odd / h, (tot - odd) / h)
-    return float(delta / _pmf(r, level, ctx.policy)), cost
-
-
 def two_stage_muse(process: ProcessSpec, reward_spec: RewardSpec, r: float, stream) -> EstimatorSample:
     """One unbiased replicate of the two-stage value U_2.
 
     Draws the level N first, then X_1, then the 2^N conditional second-stage
-    samples, and forms the antithetic difference around max(f(X_1), .).
-    The samples are reduced on the chunked row path of the multi-stage
-    estimator; only the draw order is this function's own.
+    samples in even-sized chunks of at most ``_MAX_GROUP``, and forms the
+    antithetic difference around max(f(X_1), .).
     """
     if process.horizon != 2:
         raise ValueError(f"two-stage estimation needs horizon 2, got {process.horizon}")
@@ -370,8 +339,24 @@ def two_stage_muse(process: ProcessSpec, reward_spec: RewardSpec, r: float, stre
     ctx = _Context(2, (r,), compile_stepper(process), compile_reward(reward_spec))
     level = sample_geometric_level(r, gen)
     x1 = ctx.step(1, None, 1, gen)
-    value, cost = _reduce_row(0, x1, float(ctx.rew(1, x1)[0]), level, gen, ctx, r)
-    return EstimatorSample(value=value, top_level=level, cost=cost)
+    anchor = float(ctx.rew(1, x1)[0])
+    m = 1 << level
+    if m == 1:
+        cv, cc, _ = _run_batch(1, x1, 1, gen, ctx)
+        delta, cost = max(anchor, float(cv[0])), 1 + int(cc[0])
+    else:
+        c = min(m, _MAX_GROUP)
+        parents = np.broadcast_to(x1, (c, x1.shape[1]))
+        tot = odd = 0.0
+        cost = 1
+        for _chunk in range(m // c):
+            cv, cc, _ = _run_batch(1, parents, c, gen, ctx)
+            tot += float(cv.sum())
+            odd += float(cv[0::2].sum())  # chunks stay even, so parity survives chunking
+            cost += int(cc.sum())
+        h = m // 2
+        delta = _delta(anchor, odd / h, (tot - odd) / h)
+    return EstimatorSample(value=float(delta / _pmf(r, level, ctx.policy)), top_level=level, cost=cost)
 
 
 def multi_stage_muse(
@@ -421,10 +406,6 @@ def estimate_utility(
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be a positive integer")
-    if isinstance(stream, (int, np.integer)):
-        stream = RandomStream(int(stream))
-    if not isinstance(stream, RandomStream):
-        raise TypeError("estimate_utility needs a RandomStream (or int seed) to key replicates")
     task = MuseReplicateTask(process, reward_spec, schedule, policy)
     _, values, costs, manifest = run_replicated(task, n_replicates, stream, workers=1)
     return summarize(values, costs, wall_time=manifest.wall_time)

@@ -99,7 +99,9 @@ def _unit_size(task) -> int:
 def _root(seed) -> RandomStream:
     if isinstance(seed, RandomStream):
         return seed
-    return RandomStream(int(seed))
+    if isinstance(seed, (int, np.integer)):
+        return RandomStream(int(seed))
+    raise TypeError(f"a run is rooted at an int seed or a RandomStream, got {type(seed).__name__}")
 
 
 def _run_chunk(task, master_seed, start, stop):

@@ -147,10 +147,6 @@ def run_stopping_policy(process: ProcessSpec, reward_spec: RewardSpec, config: P
     """
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
-    if isinstance(stream, (int, np.integer)):
-        stream = RandomStream(int(stream))
-    if not isinstance(stream, RandomStream):
-        raise TypeError("run_stopping_policy needs a RandomStream (or int seed) to key episodes")
     outcomes, _ = map_replicated(PolicyEpisodeTask(process, reward_spec, config), episodes, stream, workers=1)
     rewards = np.array([o.realized_reward for o in outcomes], dtype=float)
     costs = np.array([o.inner_cost for o in outcomes], dtype=np.int64)

@@ -308,7 +308,7 @@ def test_two_stage_chunked_accumulation_is_invariant(monkeypatch):
     key = (1173,)  # this substream's first level draw is deep (N = 11)
     baseline = two_stage_muse(gaussian_iid(horizon=2), identity_reward(), 0.6, derive_substream(1, key))
     assert baseline.top_level >= 8
-    monkeypatch.setattr(est, "_MAX_BATCH", 64)
+    monkeypatch.setattr(est, "_MAX_GROUP", 64)
     chunked = two_stage_muse(gaussian_iid(horizon=2), identity_reward(), 0.6, derive_substream(1, key))
     assert chunked.value == baseline.value
     assert chunked.cost == baseline.cost
@@ -404,8 +404,7 @@ def test_exact_zero_survives_chunked_reduction(monkeypatch):
     is c/P(N) at N = 0 and exactly zero at any deeper level -- including
     levels wide enough to go through the chunked accumulation path.
     """
-    monkeypatch.setattr(est, "_BIG_EXP", 2)
-    monkeypatch.setattr(est, "_MAX_BATCH", 4)
+    monkeypatch.setattr(est, "_MAX_GROUP", 4)
     chain = deterministic_chain((2.5, 2.5))
     sched = RateSchedule.constant(0.6, 2)
     hit_zero = hit_deep = 0
@@ -426,12 +425,28 @@ def test_tiny_batch_caps_leave_the_mean_alone(monkeypatch):
     proc = gaussian_iid(horizon=3)
     sched = RateSchedule.constant(0.6, 3)
     summary = estimate_utility(proc, identity_reward(), sched, n_replicates=4000, stream=RandomStream(36))
-    monkeypatch.setattr(est, "_BIG_EXP", 3)
-    monkeypatch.setattr(est, "_MAX_BATCH", 16)
     monkeypatch.setattr(est, "_MAX_GROUP", 16)
     small = estimate_utility(proc, identity_reward(), sched, n_replicates=4000, stream=RandomStream(37))
     se = math.sqrt(summary.std_error**2 + small.std_error**2)
     assert abs(summary.mean - small.mean) <= 5 * se
+
+
+def test_no_stepper_call_below_the_top_batch_exceeds_the_cap(monkeypatch):
+    """Every expansion below the top batch draws at most _MAX_GROUP rows, wide rows included."""
+    monkeypatch.setattr(est, "_MAX_GROUP", 16)
+    ctx = est._compile_context(gaussian_iid(horizon=3), identity_reward(), RateSchedule.constant(0.6, 3), LevelPolicy())
+    rows = []
+    step = ctx.step
+
+    def counting_step(k, parents, count, gen):
+        rows.append(count)
+        return step(k, parents, count, gen)
+
+    ctx.step = counting_step
+    _, _, levels = est._run_batch(0, None, 256, stream(0, seed=43).generator, ctx)
+    assert (1 << int(levels.max())) > 16  # the block held a row wider than the cap
+    assert rows[0] == 256
+    assert max(rows[1:]) <= 16
 
 
 def test_group_bounds_partition():
@@ -501,6 +516,8 @@ def test_estimate_utility_guards():
         estimate_utility(proc, identity_reward(), sched, n_replicates=1, stream=None)
     with pytest.raises(TypeError):
         estimate_utility(proc, identity_reward(), sched, n_replicates=1, stream=np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        estimate_utility(proc, identity_reward(), sched, n_replicates=1, stream=3.7)
 
 
 def test_replicate_task_matches_direct_call():

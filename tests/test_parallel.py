@@ -165,6 +165,8 @@ def test_map_replicated_guards():
         map_replicated(EchoTask(), 0, seed=0)
     with pytest.raises(ValueError):
         map_replicated(EchoTask(), 5, seed=0, chunk_size=-2)
+    with pytest.raises(TypeError):  # a float seed is not truncated to an int
+        map_replicated(EchoTask(), 10, 3.7, workers=1)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs at least 4 cores to measure speedup")

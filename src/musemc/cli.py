@@ -24,7 +24,7 @@ import numpy as np
 
 from .baselines import TreeSpec, gaussian_dp_oracle, mc1_estimate, mc2_estimate
 from .estimator import LevelPolicy, MuseReplicateTask, RateSchedule, theoretical_rate_schedule
-from .inference import bootstrap_ci, clt_ci, self_normalized_variance, summarize, summary_to_json
+from .inference import bootstrap_ci, check_interval_args, clt_ci, self_normalized_variance, summarize, summary_to_json
 from .parallel import run_replicated, map_replicated, resolve_workers
 from .policy import PolicyConfig, PolicyEpisodeTask, run_stopping_policy, write_episode_log  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
 from .processes import gaussian_iid, gbm, process_spec_from_dict
@@ -219,9 +219,11 @@ def _run(args, process, reward_spec, schedule, policy=LevelPolicy(), config=None
 
 
 def _estimate_and_write(args, process, reward_spec, schedule, policy, config_snapshot):
+    resamples = args.bootstrap_resamples if getattr(args, "ci", "clt") == "bootstrap" else None
+    check_interval_args(args.alpha, resamples, args.replicates)
     samples, summary, manifest = _run(args, process, reward_spec, schedule, policy, config_snapshot)
-    if getattr(args, "ci", "clt") == "bootstrap":
-        ci = bootstrap_ci(samples.values, alpha=args.alpha, resamples=getattr(args, "bootstrap_resamples", 1000),
+    if resamples is not None:
+        ci = bootstrap_ci(samples.values, alpha=args.alpha, resamples=resamples,
                           stream=derive_substream(args.seed, (_BOOTSTRAP_KEY,)))
     else:
         ci = clt_ci(summary, alpha=args.alpha)
@@ -291,6 +293,7 @@ def _cmd_gaussian_suite(args) -> int:
     horizons = [int(float(tok)) for tok in str(args.horizons).split(",") if tok.strip()]
     if not horizons or min(horizons) < 2:
         raise ValueError("horizons must be a comma-separated list of integers >= 2")
+    check_interval_args(args.alpha)
     longest = _resolve_schedule(args, max(horizons))
     rows = []
     manifests = []

@@ -94,14 +94,32 @@ def summarize(values, costs, wall_time: float = 0.0) -> BatchSummary:
     )
 
 
+def check_interval_args(alpha: float, resamples: int | None = None, n: int = 2) -> None:
+    """Raise the ValueError that ``clt_ci`` or ``bootstrap_ci`` would raise.
+
+    With ``resamples`` None the arguments are checked for ``clt_ci``, which
+    accepts ``alpha`` = 1; otherwise for ``bootstrap_ci`` on ``n`` values.
+    The CLI calls this before any replicate runs, so a bad flag fails at once.
+    """
+    if resamples is None:
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError("alpha must lie in (0, 1]")
+        return
+    if n < 2:
+        raise ValueError("bootstrap needs at least two values")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if resamples < 100:
+        raise ValueError("resamples must be at least 100")
+
+
 def clt_ci(summary: BatchSummary, alpha: float = 0.05) -> ConfidenceInterval:
     """Central-limit interval mean +/- z_{alpha/2} * std_error.
 
     ``alpha`` may equal 1 (a zero-width interval at the mean); a
     zero-variance batch is flagged degenerate.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    check_interval_args(alpha)
     if summary.n < 1:
         raise ValueError("summary must cover at least one replicate")
     z = float(ndtri(1.0 - alpha / 2.0))
@@ -118,27 +136,28 @@ def clt_ci(summary: BatchSummary, alpha: float = 0.05) -> ConfidenceInterval:
 def bootstrap_ci(values, alpha: float = 0.05, resamples: int = 1000, stream=None) -> ConfidenceInterval:
     """Percentile bootstrap interval for the mean.
 
-    Resample ``b`` draws its indices from the substream keyed ``(b,)`` of
-    ``stream``, so the interval is reproducible and independent of how the
-    resamples might be scheduled.  Values are sorted first, which makes the
-    interval a function of the multiset of values only.  Quantiles use the
-    inverse-CDF convention: the q-quantile of B sorted means is entry
-    ceil(q * B).
+    Resamples are keyed in blocks, like replicates: with ``n`` values, block
+    ``c`` holds resamples ``c*k`` up to the next block or ``resamples``,
+    where ``k = max(1, _BLOCK // n)``, and draws all of their indices as one
+    ``(kc, n)`` array from the substream keyed ``(c,)`` of ``stream``.  A
+    block's index array thus holds at most ``max(_BLOCK, n)`` elements,
+    whatever ``resamples`` is, and for ``n > _BLOCK // 2`` every block is one
+    resample.  Values are sorted first, so the interval is a function of
+    (``stream``, the multiset of values, ``resamples``) alone.  Quantiles
+    use the inverse-CDF convention: the q-quantile of B sorted means is
+    entry ceil(q * B).
     """
     values = np.sort(np.asarray(values, dtype=float))
-    if values.size < 2:
-        raise ValueError("bootstrap needs at least two values")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if resamples < 100:
-        raise ValueError("resamples must be at least 100")
+    check_interval_args(alpha, resamples, values.size)
     if not isinstance(stream, RandomStream):
         raise TypeError("bootstrap_ci needs a RandomStream to key its resamples")
     n = values.size
+    per_block = max(1, _BLOCK // n)
     means = np.empty(resamples)
-    for b in range(resamples):
-        idx = stream.child(b).generator.integers(0, n, size=n)
-        means[b] = values[idx].mean()
+    for c, start in enumerate(range(0, resamples, per_block)):
+        kc = min(per_block, resamples - start)
+        idx = stream.child(c).generator.integers(0, n, size=(kc, n))
+        means[start : start + kc] = values[idx].mean(axis=1)
     means.sort()
 
     def quantile(q: float) -> float:

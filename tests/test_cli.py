@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import musemc.cli as cli
 from musemc.cli import _build_parser, _rate_grid, main
 from musemc.parallel import BLOCK_SIZE
 
@@ -135,6 +136,29 @@ def test_estimate_flag_validation(tmp_path):
     assert run(["estimate", "--rates", 0.6, "--delta-mom", 0.1, "--out-dir", tmp_path]) == 1
     assert run(["estimate", "--process", "gbm", "--out-dir", tmp_path]) == 1  # no dates
     assert run(["estimate", "--rates", "0.6,0.6", "--horizon", 4, "--out-dir", tmp_path]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--replicates", 300_000, "--ci", "bootstrap", "--bootstrap-resamples", 50],
+         "resamples must be at least 100"),
+        (["estimate", "--alpha", 0], "alpha must lie in (0, 1]"),
+        (["estimate", "--ci", "bootstrap", "--alpha", 1], "alpha must lie in (0, 1)"),
+        (["estimate", "--ci", "bootstrap", "--replicates", 1], "bootstrap needs at least two values"),
+        (["bermudan", "--alpha", 1.5], "alpha must lie in (0, 1]"),
+        (["gaussian-suite", "--alpha", 0], "alpha must lie in (0, 1]"),
+    ],
+)
+def test_interval_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replicate ran before the interval flags were checked")
+
+    monkeypatch.setattr(cli, "run_replicated", refuse)
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_rate_counts_must_match_the_horizon(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,25 +119,69 @@ def test_clt_ci_guards():
 # --------------------------------------------------------------- bootstrap
 
 
-def test_bootstrap_matches_reference_implementation():
-    """Freeze the resampling and quantile conventions against a re-derivation."""
-    gen = derive_substream(0, (71,)).generator
-    values = gen.standard_normal(200)
-    stream = RandomStream(9, (4,))
-    ci = bootstrap_ci(values, alpha=0.1, resamples=250, stream=stream)
-
+def _reference_bootstrap_means(values, resamples, stream):
+    """Sorted resample means, re-derived block by block: block c is one (kc, n) draw on stream.child(c)."""
     ordered = np.sort(values)
-    means = np.empty(250)
-    for b in range(250):
-        idx = stream.child(b).generator.integers(0, 200, size=200)
-        means[b] = ordered[idx].mean()
-    means.sort()
-    lo = means[max(1, math.ceil(0.05 * 250)) - 1]
-    hi = means[min(250, math.ceil(0.95 * 250)) - 1]
+    n = ordered.size
+    k = max(1, inf._BLOCK // n)
+    means = []
+    for c in range(math.ceil(resamples / k)):
+        kc = min(k, resamples - c * k)
+        idx = stream.child(c).generator.integers(0, n, size=(kc, n))
+        means.extend(ordered[row].mean() for row in idx)
+    return np.sort(np.array(means))
+
+
+def _assert_matches_reference(values, alpha, resamples, stream):
+    ci = bootstrap_ci(values, alpha=alpha, resamples=resamples, stream=stream)
+    means = _reference_bootstrap_means(values, resamples, stream)
+    assert means.size == resamples
+    lo = means[max(1, math.ceil(alpha / 2 * resamples)) - 1]
+    hi = means[min(resamples, math.ceil((1 - alpha / 2) * resamples)) - 1]
     assert ci.lo == lo
     assert ci.hi == hi
     assert ci.method == BOOTSTRAP_PERCENTILE
     assert ci.lo in means and ci.hi in means  # endpoints are resample means
+
+
+def test_bootstrap_matches_reference_implementation():
+    """Freeze the block keying and quantile conventions against a re-derivation."""
+    values = derive_substream(0, (71,)).generator.standard_normal(200)
+    assert inf._BLOCK // 200 > 250  # every resample falls into block 0
+    _assert_matches_reference(values, 0.1, 250, RandomStream(9, (4,)))
+
+
+def test_bootstrap_partial_last_block_matches_reference():
+    """n = 200 gives blocks of 327 resamples: 1000 resamples are blocks of 327, 327, 327 and 19."""
+    values = derive_substream(0, (74,)).generator.standard_normal(200)
+    assert inf._BLOCK // 200 == 327
+    _assert_matches_reference(values, 0.05, 1000, RandomStream(9, (5,)))
+
+
+def test_bootstrap_blocks_of_one_resample_keep_the_old_keying():
+    """Above _BLOCK // 2 values a block is one resample, drawn as resample b's own (b,) substream always was."""
+    n, resamples = 40_000, 100
+    assert inf._BLOCK // n == 1
+    values = derive_substream(0, (75,)).generator.standard_normal(n)
+    stream = RandomStream(9, (6,))
+    ci = bootstrap_ci(values, alpha=0.05, resamples=resamples, stream=stream)
+    ordered = np.sort(values)
+    means = np.sort([ordered[stream.child(b).generator.integers(0, n, size=n)].mean() for b in range(resamples)])
+    assert ci.lo == means[math.ceil(0.025 * resamples) - 1]
+    assert ci.hi == means[math.ceil(0.975 * resamples) - 1]
+
+
+def test_bootstrap_memory_is_bounded_by_the_block():
+    """Indices are drawn one block at a time, never as one (resamples, n) matrix (160 MB here)."""
+    n = 200_000
+    values = derive_substream(0, (76,)).generator.standard_normal(n)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(values, resamples=100, stream=RandomStream(9, (7,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * 8
 
 
 def test_bootstrap_is_deterministic_and_order_free():

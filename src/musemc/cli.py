@@ -25,8 +25,8 @@ import numpy as np
 from .baselines import TreeSpec, gaussian_dp_oracle, mc1_estimate, mc2_estimate
 from .estimator import LevelPolicy, MuseReplicateTask, RateSchedule, theoretical_rate_schedule
 from .inference import bootstrap_ci, check_interval_args, clt_ci, self_normalized_variance, summarize, summary_to_json
-from .parallel import run_replicated, map_replicated, resolve_workers
-from .policy import PolicyConfig, PolicyEpisodeTask, run_stopping_policy, write_episode_log  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
+from .parallel import run_replicated, resolve_workers
+from .policy import PolicyConfig, _run_episodes, run_stopping_policy, write_episode_log  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
 from .processes import gaussian_iid, gbm, process_spec_from_dict
 from .rewards import basket_put, identity_reward, reward_spec_from_dict
 from .streams import derive_substream
@@ -38,6 +38,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ValueError("--workers must be a positive integer")
         args.workers = resolve_workers(args.workers)
         return args.handler(args)
     except (ValueError, OSError, KeyError) as exc:
@@ -267,6 +269,8 @@ def _cmd_tune_rate(args) -> int:
         raise ValueError("the rate grid must satisfy 0.5 < r_min <= r_max < 1")
     if args.step <= 0:
         raise ValueError("step must be positive")
+    if args.replicates < 2:
+        raise ValueError("tune-rate needs at least two replicates per rate to estimate a variance")
     process = gaussian_iid(horizon=args.horizon)
     reward_spec = identity_reward()
     grid = _rate_grid(args.r_min, args.r_max, args.step)
@@ -294,6 +298,9 @@ def _cmd_gaussian_suite(args) -> int:
     if not horizons or min(horizons) < 2:
         raise ValueError("horizons must be a comma-separated list of integers >= 2")
     check_interval_args(args.alpha)
+    for flag, count in (("--mc1-paths", args.mc1_paths), ("--trees", args.trees), ("--arity", args.arity)):
+        if count < 1:
+            raise ValueError(f"{flag} must be a positive integer")
     longest = _resolve_schedule(args, max(horizons))
     rows = []
     manifests = []
@@ -367,11 +374,9 @@ def _cmd_stop(args) -> int:
         tolerance=args.tolerance,
         alpha=args.alpha,
     )
-    task = PolicyEpisodeTask(process, reward_spec, policy_config)
-    outcomes, manifest = map_replicated(task, args.episodes, args.seed, workers=args.workers)
-    rewards = np.array([o.realized_reward for o in outcomes], dtype=float)
-    costs = np.array([o.inner_cost for o in outcomes], dtype=np.int64)
-    reward_summary = summarize(rewards, costs, wall_time=manifest.wall_time)
+    outcomes, reward_summary, manifest = _run_episodes(
+        process, reward_spec, policy_config, args.episodes, args.seed, args.workers
+    )
     write_episode_log(_out_path(args, "episodes.csv"), outcomes)
     taus = np.array([o.tau for o in outcomes], dtype=float)
     payload = {

@@ -414,8 +414,9 @@ def estimate_utility(
 class MuseReplicateTask:
     """Picklable estimator job for the harness.
 
-    ``run_block(count, stream)`` runs ``count`` replicates as one batch on
-    ``stream``; calling the task runs a single replicate on its stream.
+    ``run_block(start, count, stream)`` runs ``count`` replicates as one
+    batch on ``stream`` (the replicates are exchangeable, so ``start`` is
+    not used); calling the task runs a single replicate on its stream.
     """
 
     def __init__(self, process, reward_spec, schedule, policy=LevelPolicy()):
@@ -425,14 +426,14 @@ class MuseReplicateTask:
         self.policy = policy
         self._ctx = None
 
-    def run_block(self, count, stream) -> SampleBlock:
+    def run_block(self, start, count, stream) -> SampleBlock:
         if self._ctx is None:
             self._ctx = _compile_context(self.process, self.reward_spec, self.schedule, self.policy)
         v, c, lv = _run_batch(0, None, count, stream.generator, self._ctx)
         return SampleBlock(v, lv, c, self.policy.is_truncated)
 
     def __call__(self, index, stream) -> EstimatorSample:
-        return self.run_block(1, stream)[0]
+        return self.run_block(index, 1, stream)[0]
 
     def __getstate__(self):
         state = self.__dict__.copy()

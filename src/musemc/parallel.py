@@ -1,15 +1,15 @@
 """Deterministic multi-process replication harness.
 
 A run is rooted at one stream (a master seed, or any ``RandomStream``) and
-keys its work to children of that root.  A plain task runs item by item,
-item ``i`` on substream ``(i,)``.  A block task (one with a ``run_block``
-method, such as ``MuseReplicateTask``) runs whole blocks: block ``b``
-covers replicates ``b * BLOCK_SIZE`` up to the next block or the end of the
-run, and draws from substream ``(b,)``.  Either way the merged output is a
-function of the seed (and ``BLOCK_SIZE``) alone -- bit-identical for any
+keys its work to children of that root in blocks: block ``b`` covers items
+``b * BLOCK_SIZE`` up to the next block or the end of the run, draws from
+substream ``(b,)``, and runs as one ``task.run_block(start, count, stream)``
+call.  Estimator replicates (``MuseReplicateTask``) and policy episodes
+(``PolicyEpisodeTask``) are both such block tasks.  The merged output is a
+function of the seed and ``BLOCK_SIZE`` alone -- bit-identical for any
 worker count or chunk size.  Work is dealt to a process pool in contiguous
-chunks of whole units; a failing unit aborts the run and reports its first
-index.
+chunks of whole blocks; a failing block aborts the run and reports its
+first index.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ import numpy as np
 
 from .streams import RandomStream
 
-BLOCK_SIZE = 256  # replicates per keyed block of a block task
-DEFAULT_CHUNK = 64  # cap on the units (items or blocks) in an automatic chunk
+BLOCK_SIZE = 256  # items per keyed block
+DEFAULT_CHUNK = 64  # cap on the blocks in an automatic chunk
 WORKERS_ENV = "MUSE_WORKERS"
 
 
 class ReplicateError(RuntimeError):
-    """A replicate task raised; carries the failing replicate index."""
+    """A block task raised; carries the first index of the failing block."""
 
     def __init__(self, index: int, detail: str = ""):
         self.index = int(index)
@@ -48,15 +48,14 @@ class ReplicateError(RuntimeError):
 class RunManifest:
     """Audit record of one harness run, serializable to JSON.
 
-    ``block_size`` is the number of replicates keyed to one substream: 1
-    for a plain task, ``BLOCK_SIZE`` for a block task.
+    ``block_size`` is the number of items keyed to one substream.
     """
 
     master_seed: int
     total_replicates: int
     workers: int
     chunk_size: int
-    block_size: int = 1
+    block_size: int = BLOCK_SIZE
     wall_time: float = 0.0
     worker_wall_times: dict = field(default_factory=dict)
     worker_replicates: dict = field(default_factory=dict)
@@ -92,10 +91,6 @@ def resolve_workers(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _unit_size(task) -> int:
-    return BLOCK_SIZE if hasattr(task, "run_block") else 1
-
-
 def _root(seed) -> RandomStream:
     if isinstance(seed, RandomStream):
         return seed
@@ -105,45 +100,42 @@ def _root(seed) -> RandomStream:
 
 
 def _run_chunk(task, master_seed, start, stop):
-    """Run the units covering items ``start..stop-1``; returns (start, results, pid, seconds).
+    """Run the blocks covering items ``start..stop-1``; returns (start, results, pid, seconds).
 
     ``master_seed`` is the run's root: an int seed or a ``RandomStream``.
-    ``start`` is a multiple of the task's unit size, and there is one
-    result per unit.
+    ``start`` is a multiple of ``BLOCK_SIZE``, and there is one result per
+    block.
     """
     t0 = time.perf_counter()
     root = _root(master_seed)
-    size = _unit_size(task)
     out = []
-    for a in range(start, stop, size):
-        stream = root.child(a // size)
+    for a in range(start, stop, BLOCK_SIZE):
+        block = a // BLOCK_SIZE
         try:
-            out.append(task(a, stream) if size == 1 else task.run_block(min(size, stop - a), stream))
-        except Exception as exc:  # noqa: BLE001 - reported with the replicate index
-            where = "" if size == 1 else f"in block {a // size}: "
-            raise ReplicateError(a, f"{where}{type(exc).__name__}: {exc}") from exc
+            out.append(task.run_block(a, min(BLOCK_SIZE, stop - a), root.child(block)))
+        except Exception as exc:  # noqa: BLE001 - reported with the block's first index
+            raise ReplicateError(a, f"in block {block}: {type(exc).__name__}: {exc}") from exc
     return start, out, os.getpid(), time.perf_counter() - t0
 
 
-def _chunk_size(n: int, workers: int, size: int, requested: int | None) -> int:
-    """Items per chunk: a whole number of units, a request rounded up to one."""
+def _chunk_size(n: int, workers: int, requested: int | None) -> int:
+    """Items per chunk: a whole number of blocks, a request rounded up to one."""
     if requested:
         if requested < 1:
             raise ValueError("chunk_size must be a positive integer")
-        return size * -(-int(requested) // size)
+        return BLOCK_SIZE * -(-int(requested) // BLOCK_SIZE)
     # small enough that workers stay busy, large enough to amortize dispatch
-    units = -(-n // size)
-    return size * max(1, min(DEFAULT_CHUNK, -(-units // (4 * workers))))
+    blocks = -(-n // BLOCK_SIZE)
+    return BLOCK_SIZE * max(1, min(DEFAULT_CHUNK, -(-blocks // (4 * workers))))
 
 
 def map_replicated(task, n_replicates: int, seed, workers: int | None = None, chunk_size: int | None = None, config: dict | None = None):
     """Run ``task`` over items 0..n-1; returns (results, manifest).
 
-    ``seed`` is an int or the ``RandomStream`` the run is
-    rooted at.  A plain task is called as ``task(i, stream_i)`` and gives
-    one result per item; a block task is called as
-    ``task.run_block(count, stream_b)`` and gives one result per block.
-    Results are ordered by index regardless of completion order.
+    ``seed`` is an int or the ``RandomStream`` the run is rooted at.  Block
+    ``b`` is one ``task.run_block(start_b, count_b, stream_b)`` call, and
+    ``results`` holds one result per block, ordered by block regardless of
+    completion order.
     An explicit ``workers`` is taken as given; ``None`` defers to
     ``resolve_workers``.  ``task`` must be picklable when more than one
     worker is used.
@@ -152,18 +144,17 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, ch
         raise ValueError("n_replicates must be a positive integer")
     root = _root(seed)
     workers = max(1, int(workers)) if workers is not None else resolve_workers()
-    size = _unit_size(task)
-    chunk = _chunk_size(n_replicates, workers, size, chunk_size)
+    chunk = _chunk_size(n_replicates, workers, chunk_size)
 
     starts = list(range(0, n_replicates, chunk))
-    results: list = [None] * -(-n_replicates // size)
+    results: list = [None] * -(-n_replicates // BLOCK_SIZE)
     filled = np.zeros(len(results), dtype=bool)
     worker_times: dict[int, float] = {}
     worker_counts: dict[int, int] = {}
     t0 = time.perf_counter()
 
     def absorb(start, out, pid, elapsed):
-        first = start // size
+        first = start // BLOCK_SIZE
         last = first + len(out)
         if filled[first:last].any():
             raise RuntimeError(f"replicates {start}..{start + chunk - 1} merged twice")
@@ -193,7 +184,7 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, ch
                     absorb(*fut.result())
 
     if not filled.all():
-        missing = int(np.flatnonzero(~filled)[0]) * size
+        missing = int(np.flatnonzero(~filled)[0]) * BLOCK_SIZE
         raise RuntimeError(f"replicate {missing} was never produced")
 
     pids = sorted(worker_times)
@@ -202,7 +193,6 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, ch
         total_replicates=n_replicates,
         workers=workers,
         chunk_size=chunk,
-        block_size=size,
         wall_time=time.perf_counter() - t0,
         worker_wall_times={f"worker-{rank}": worker_times[pid] for rank, pid in enumerate(pids)},
         worker_replicates={f"worker-{rank}": worker_counts[pid] for rank, pid in enumerate(pids)},

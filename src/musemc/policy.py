@@ -6,6 +6,11 @@ stops as soon as the current reward beats the estimated continuation minus
 a slack.  The slack is either a fixed tolerance or the half-width of a CLT
 interval on the inner batch ("adaptive"), which concentrates the failure
 probability where the inner estimate is noisy.  The horizon forces a stop.
+
+Episodes run as harness blocks (``PolicyEpisodeTask.run_block``): a
+block's episodes advance together, and at each stage one row-wise
+``_decide`` runs the inner batches of the episodes still running.  A single
+episode (``run_episode``) is a block of one.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .estimator import LevelPolicy, RateSchedule, _compile_context, _run_batch
+from .estimator import _MAX_GROUP, LevelPolicy, RateSchedule, _compile_context, _run_batch
 from .inference import BatchSummary, summarize
 from .parallel import map_replicated
 from .processes import ProcessSpec
@@ -85,84 +90,131 @@ def decide_stop(history, stage: int, fx: float, process: ProcessSpec, reward_spe
     if not 1 <= stage <= process.horizon - 1:
         raise ValueError(f"decisions happen at stages 1..{process.horizon - 1}, got {stage}")
     ctx = _compile_context(process, reward_spec, config.schedule, config.level_policy)
-    last = np.asarray(history.last(), dtype=float)
-    stop, decision, _ = _decide(last, stage, float(fx), config, as_generator(stream), ctx)
-    return stop, decision
+    last = np.asarray(history.last(), dtype=float)[None, :]
+    stop, decisions, _ = _decide(last, stage, np.array([float(fx)]), config, as_generator(stream), ctx)
+    return bool(stop[0]), decisions[0]
 
 
-def _decide(last_state, stage, fx, config, gen, ctx):
-    n = config.inner_replicates
+def _decide(states, stage, fx, config, gen, ctx):
+    """Decide at ``stage`` for the episodes whose states are the rows of ``states``.
+
+    ``fx`` holds their rewards on the table.  The rows' inner batches draw
+    from ``gen`` in row order, ``max(1, _MAX_GROUP // inner_replicates)``
+    rows to a ``_run_batch``, so no batch is wider than the cap or one inner
+    batch.  Returns (stop mask, one ``StageDecision`` per row, inner draws
+    per row as a list); the last is 0 when no inner batch ran.
+    """
     if math.isinf(config.tolerance or 0.0):
-        # infinite slack: stop unconditionally, skip the inner batch
-        return True, StageDecision(stage, fx, float("nan"), float("nan"), STOP), 0
-    parents = np.broadcast_to(last_state, (n, last_state.size))
-    values, costs, _ = _run_batch(stage, parents, n, gen, ctx)
-    y_bar = float(values.mean())
-    if n > 1:
-        se = float(values.std(ddof=1)) / math.sqrt(n)
-    else:
-        se = 0.0
+        # infinite slack: stop unconditionally, skip the inner batches
+        nan = float("nan")
+        return np.ones(fx.size, dtype=bool), [StageDecision(stage, float(f), nan, nan, STOP) for f in fx], 0
+    n = config.inner_replicates
+    d = states.shape[1]
+    rows_per_batch = max(1, _MAX_GROUP // n)
+    y_bar = np.empty(fx.size)
+    se = np.zeros(fx.size)
+    costs = np.empty(fx.size, dtype=np.int64)
+    for a in range(0, fx.size, rows_per_batch):
+        b = min(a + rows_per_batch, fx.size)
+        # each row repeated n times; a lone row stays a view, so a wide inner batch copies nothing
+        parents = np.broadcast_to(states[a:b, None], (b - a, n, d)).reshape(-1, d)
+        values, batch_costs = _run_batch(stage, parents, (b - a) * n, gen, ctx)[:2]
+        values = values.reshape(b - a, n)
+        y_bar[a:b] = values.mean(axis=1)
+        if n > 1:
+            se[a:b] = values.std(axis=1, ddof=1) / math.sqrt(n)
+        costs[a:b] = batch_costs.reshape(b - a, n).sum(axis=1)
+        del parents, values, batch_costs  # freed before the next batch runs, so one batch is live at a time
     eps = config.tolerance if not config.adaptive else float(ndtri(1.0 - config.alpha / 2.0)) * se
     stop = fx > y_bar - eps
-    label = STOP if stop else CONTINUE
-    return stop, StageDecision(stage, fx, y_bar, se, label), int(costs.sum())
+    decisions = [
+        StageDecision(stage, float(f), float(y), float(s), STOP if halt else CONTINUE)
+        for f, y, s, halt in zip(fx, y_bar, se, stop)
+    ]
+    return stop, decisions, costs.tolist()
 
 
 def run_episode(process: ProcessSpec, reward_spec: RewardSpec, config: PolicyConfig, episode: int, stream: RandomStream) -> PolicyOutcome:
-    """Simulate one episode under the policy.
+    """Simulate one episode under the policy: a harness block of one on ``stream``.
 
     The path draws from substream ``(0,)`` of ``stream`` and the stage-k
     inner batch from substream ``(k,)``, so decisions never perturb the
     path and episodes are reproducible in isolation.
     """
-    ctx = _compile_context(process, reward_spec, config.schedule, config.level_policy)
-    horizon = process.horizon
-    path_gen = stream.child(0).generator
-    rew = ctx.rew
-
-    state = ctx.step(1, None, 1, path_gen)
-    inner_cost = 0
-    diagnostics = []
-    for stage in range(1, horizon + 1):
-        fx = float(rew(stage, state)[0])
-        if stage == horizon:
-            diagnostics.append(StageDecision(stage, fx, float("nan"), float("nan"), FORCED))
-            return PolicyOutcome(episode, stage, fx, inner_cost, tuple(diagnostics))
-        stop, decision, cost = _decide(state[0], stage, fx, config, stream.child(stage).generator, ctx)
-        inner_cost += cost
-        diagnostics.append(decision)
-        if stop:
-            return PolicyOutcome(episode, stage, fx, inner_cost, tuple(diagnostics))
-        state = ctx.step(stage + 1, state, 1, path_gen)
-    raise AssertionError("unreachable: the horizon stage always returns")
+    return PolicyEpisodeTask(process, reward_spec, config).run_block(episode, 1, stream)[0]
 
 
 def run_stopping_policy(process: ProcessSpec, reward_spec: RewardSpec, config: PolicyConfig, episodes: int, stream) -> tuple[list[PolicyOutcome], BatchSummary]:
     """Run ``episodes`` independent episodes; returns (outcomes, reward summary).
 
-    This is the replication harness at one worker: episode ``e`` uses
-    substream ``(e,)`` of ``stream``, so it agrees exactly with ``muse
-    stop`` at any worker count.  The summary's cost field counts inner
-    estimator draws, the real sampling bill of the policy.
+    This is the replication harness at one worker, so it agrees exactly
+    with ``muse stop`` at any worker count.  The summary's cost field counts
+    inner estimator draws, the real sampling bill of the policy.
+    """
+    outcomes, summary, _ = _run_episodes(process, reward_spec, config, episodes, stream, workers=1)
+    return outcomes, summary
+
+
+def _run_episodes(process, reward_spec, config, episodes, seed, workers):
+    """The harness run behind ``run_stopping_policy`` and ``muse stop``.
+
+    Returns (outcomes, reward summary, manifest).
     """
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
-    outcomes, _ = map_replicated(PolicyEpisodeTask(process, reward_spec, config), episodes, stream, workers=1)
+    blocks, manifest = map_replicated(PolicyEpisodeTask(process, reward_spec, config), episodes, seed, workers=workers)
+    outcomes = [o for block in blocks for o in block]
     rewards = np.array([o.realized_reward for o in outcomes], dtype=float)
     costs = np.array([o.inner_cost for o in outcomes], dtype=np.int64)
-    return outcomes, summarize(rewards, costs)
+    return outcomes, summarize(rewards, costs, wall_time=manifest.wall_time), manifest
 
 
 class PolicyEpisodeTask:
-    """Picklable ``(episode, stream) -> PolicyOutcome`` job for the harness."""
+    """Picklable harness job: ``run_block(start, count, stream)`` runs episodes
+    ``start`` .. ``start + count - 1`` together.
+
+    Each stage's path draws cover every row of the block, stopped or not,
+    from substream ``(0,)`` of ``stream``, so a path never depends on
+    decisions, the inner batch size or the tolerance.  At stage k one
+    ``_decide`` runs the inner batches of the episodes still running, from
+    substream ``(k,)``.
+    """
 
     def __init__(self, process, reward_spec, config):
         self.process = process
         self.reward_spec = reward_spec
         self.config = config
 
-    def __call__(self, episode, stream) -> PolicyOutcome:
-        return run_episode(self.process, self.reward_spec, self.config, episode, stream)
+    def run_block(self, start, count, stream) -> list[PolicyOutcome]:
+        ctx = _compile_context(self.process, self.reward_spec, self.config.schedule, self.config.level_policy)
+        path_gen = stream.child(0).generator
+        state = ctx.step(1, None, count, path_gen)
+        running = np.arange(count)
+        tau = np.zeros(count, dtype=np.int64)
+        realized = np.empty(count)
+        inner_cost = np.zeros(count, dtype=np.int64)
+        diagnostics = [[] for _ in range(count)]
+        for stage in range(1, ctx.horizon + 1):
+            live = state[running]
+            fx = np.asarray(ctx.rew(stage, live), dtype=float)
+            if stage < ctx.horizon:
+                stop, decisions, costs = _decide(live, stage, fx, self.config, stream.child(stage).generator, ctx)
+                inner_cost[running] += costs
+            else:  # the horizon forces a stop
+                stop = np.ones(running.size, dtype=bool)
+                decisions = [StageDecision(stage, float(f), float("nan"), float("nan"), FORCED) for f in fx]
+            for row, decision in zip(running, decisions):
+                diagnostics[row].append(decision)
+            tau[running[stop]] = stage
+            realized[running[stop]] = fx[stop]
+            running = running[~stop]
+            if running.size == 0:
+                break
+            state = ctx.step(stage + 1, state, count, path_gen)
+        return [
+            PolicyOutcome(start + j, int(tau[j]), float(realized[j]), int(inner_cost[j]), tuple(diagnostics[j]))
+            for j in range(count)
+        ]
 
 
 def write_episode_log(path, outcomes) -> None:

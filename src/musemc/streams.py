@@ -4,9 +4,8 @@ A stream is identified by a 64-bit master seed plus an integer derivation
 path.  The pair is hashed into a counter-based Philox generator through
 numpy's ``SeedSequence``, so any stream can be reconstructed from its key
 alone -- independent of execution order, worker count, or which process
-asks for it.  The harness keys block ``b`` of a run's replicates (or item
-``b`` of a per-item task, such as a policy episode) to path ``(b,)`` below
-the run's root.
+asks for it.  The harness keys block ``b`` of a run's items (estimator
+replicates or policy episodes) to path ``(b,)`` below the run's root.
 """
 
 from __future__ import annotations

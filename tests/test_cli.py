@@ -161,6 +161,29 @@ def test_interval_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, ca
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--workers", 0], "--workers must be a positive integer"),
+        (["stop", "--workers", -3], "--workers must be a positive integer"),
+        (["gaussian-suite", "--mc1-paths", 0], "--mc1-paths must be a positive integer"),
+        (["gaussian-suite", "--trees", 0], "--trees must be a positive integer"),
+        (["gaussian-suite", "--arity", 0], "--arity must be a positive integer"),
+        (["tune-rate", "--replicates", 1], "tune-rate needs at least two replicates per rate to estimate a variance"),
+    ],
+)
+def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replicate ran before the count flags were checked")
+
+    monkeypatch.setattr(cli, "run_replicated", refuse)
+    monkeypatch.setattr(cli, "_run_episodes", refuse)
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_rate_counts_must_match_the_horizon(tmp_path):
     """A rate list of the wrong length is a user error, not a traceback."""
     assert run(["bermudan", "--dates", "0,1,2,3", "--geo-rate", "0.6,0.6", "--out-dir", tmp_path]) == 1
@@ -292,9 +315,27 @@ def test_stop_parallel_workers_agree(tmp_path):
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["workers"] == workers
-        assert manifest["block_size"] == 1  # each episode has its own substream
+        assert manifest["block_size"] == BLOCK_SIZE  # episodes are keyed in blocks, like replicates
         assert manifest["total_replicates"] == 12
     assert (a / "episodes.csv").read_bytes() == (b / "episodes.csv").read_bytes()
+
+
+def test_stop_partial_last_block_is_worker_count_independent(tmp_path):
+    n = 2 * BLOCK_SIZE + 3
+    blobs = {}
+    for workers in (1, 2, 4):
+        out = tmp_path / f"w{workers}"
+        code = run(
+            ["stop", "--horizon", 3, "--episodes", n, "--inner-replicates", 8,
+             "--seed", 13, "--workers", workers, "--out-dir", out]
+        )
+        assert code == 0
+        blobs[workers] = [(out / name).read_bytes() for name in ("episodes.csv", "policy_summary.json")]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["block_size"] == BLOCK_SIZE
+        assert manifest["workers"] == workers
+    assert blobs[2] == blobs[1] and blobs[4] == blobs[1]
+    assert json.loads(blobs[1][1])["episodes"] == n
 
 
 def test_stop_from_config(tmp_path):

@@ -524,7 +524,7 @@ def test_replicate_task_matches_direct_call():
     proc = gaussian_iid(horizon=3)
     sched = RateSchedule.constant(0.6, 3)
     task = MuseReplicateTask(proc, identity_reward(), sched)
-    block = task.run_block(7, derive_substream(41, (2,)))
+    block = task.run_block(0, 7, derive_substream(41, (2,)))
     ctx = est._compile_context(proc, identity_reward(), sched, LevelPolicy())
     values, costs, levels = est._run_batch(0, None, 7, derive_substream(41, (2,)).generator, ctx)
     assert len(block) == 7
@@ -542,7 +542,7 @@ def test_replicate_task_pickles_without_context():
     import pickle
 
     task = MuseReplicateTask(gaussian_iid(horizon=2), identity_reward(), RateSchedule.constant(0.6, 2))
-    task.run_block(BLOCK_SIZE, stream(42))  # warm the compiled context
+    task.run_block(0, BLOCK_SIZE, stream(42))  # warm the compiled context
     clone = pickle.loads(pickle.dumps(task))
     assert clone._ctx is None
-    assert np.array_equal(clone.run_block(BLOCK_SIZE, stream(42)).values, task.run_block(BLOCK_SIZE, stream(42)).values)
+    assert np.array_equal(clone.run_block(0, BLOCK_SIZE, stream(42)).values, task.run_block(0, BLOCK_SIZE, stream(42)).values)

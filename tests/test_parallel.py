@@ -22,35 +22,38 @@ def fixture_task():
 
 
 class EchoTask:
-    """Picklable task returning (index, first draw) -- enough to audit keying."""
+    """Picklable block task returning (index, draw) per item -- enough to audit keying."""
 
-    def __call__(self, index, stream):
-        return index, float(stream.generator.random())
+    def run_block(self, start, count, stream):
+        return list(zip(range(start, start + count), stream.generator.random(count).tolist()))
 
 
 class FailAt:
     def __init__(self, bad_index):
         self.bad_index = bad_index
 
-    def __call__(self, index, stream):
-        if index == self.bad_index:
+    def run_block(self, start, count, stream):
+        if start <= self.bad_index < start + count:
             raise ValueError("synthetic divergence")
-        return index
+        return list(range(start, start + count))
 
 
 def test_results_are_ordered_and_keyed_by_index():
-    results, manifest = map_replicated(EchoTask(), 10, seed=17, workers=1, chunk_size=3)
-    for i, (idx, draw) in enumerate(results):
-        assert idx == i
-        assert draw == derive_substream(17, (i,)).generator.random()
-    assert manifest.total_replicates == 10
-    assert manifest.chunk_size == 3
-    assert manifest.block_size == 1
+    n = 2 * BLOCK_SIZE + 3
+    results, manifest = map_replicated(EchoTask(), n, seed=17, workers=1, chunk_size=3)
+    assert [len(block) for block in results] == [BLOCK_SIZE, BLOCK_SIZE, 3]
+    for b, block in enumerate(results):
+        draws = derive_substream(17, (b,)).generator.random(len(block)).tolist()
+        assert block == list(zip(range(b * BLOCK_SIZE, b * BLOCK_SIZE + len(block)), draws))
+    assert manifest.total_replicates == n
+    assert manifest.chunk_size == BLOCK_SIZE  # a request is rounded up to whole blocks
+    assert manifest.block_size == BLOCK_SIZE
 
 
 def test_single_and_multi_worker_agree_exactly():
-    a, _ = map_replicated(EchoTask(), 40, seed=5, workers=1)
-    b, _ = map_replicated(EchoTask(), 40, seed=5, workers=2)
+    n = 2 * BLOCK_SIZE + 3
+    a, _ = map_replicated(EchoTask(), n, seed=5, workers=1)
+    b, _ = map_replicated(EchoTask(), n, seed=5, workers=2, chunk_size=1)
     assert a == b
 
 
@@ -78,7 +81,7 @@ def test_estimator_task_parallel_equals_sequential():
     # block b is one batch of BLOCK_SIZE replicates (3 in the last) on substream (b,)
     assert len(samples) == n
     for b, count in enumerate((BLOCK_SIZE, BLOCK_SIZE, 3)):
-        block = task.run_block(count, derive_substream(8, (b,)))
+        block = task.run_block(b * BLOCK_SIZE, count, derive_substream(8, (b,)))
         assert np.array_equal(values1[b * BLOCK_SIZE:b * BLOCK_SIZE + count], block.values)
         assert np.array_equal(costs1[b * BLOCK_SIZE:b * BLOCK_SIZE + count], block.costs)
 
@@ -97,32 +100,28 @@ def test_workers_env_wins(monkeypatch):
 
 def test_fail_fast_reports_the_replicate_index():
     with pytest.raises(ReplicateError) as err:
-        map_replicated(FailAt(13), 20, seed=0, workers=1)
-    assert err.value.index == 13
+        map_replicated(FailAt(BLOCK_SIZE + 13), 2 * BLOCK_SIZE, seed=0, workers=1)
+    assert err.value.index == BLOCK_SIZE  # the first index of the failing block
+    assert "in block 1" in str(err.value)
     assert "synthetic divergence" in str(err.value)
-
-
-class FailInBlock:
-    def run_block(self, count, stream):
-        raise ValueError("synthetic block divergence")
 
 
 def test_fail_fast_reports_the_first_replicate_of_the_block():
     with pytest.raises(ReplicateError) as err:
-        map_replicated(FailInBlock(), BLOCK_SIZE + 1, seed=0, workers=1)
+        map_replicated(FailAt(5), BLOCK_SIZE + 1, seed=0, workers=1)
     assert err.value.index == 0
     assert "in block 0" in str(err.value)
 
 
 def test_a_stream_root_keys_items_below_its_path():
     results, _ = map_replicated(EchoTask(), 4, seed=derive_substream(17, (3,)), workers=1)
-    assert [draw for _, draw in results] == [derive_substream(17, (3, i)).generator.random() for i in range(4)]
+    assert [draw for _, draw in results[0]] == derive_substream(17, (3, 0)).generator.random(4).tolist()
 
 
 def test_fail_fast_across_processes():
     with pytest.raises(ReplicateError) as err:
-        map_replicated(FailAt(3), 8, seed=0, workers=2, chunk_size=2)
-    assert err.value.index == 3
+        map_replicated(FailAt(BLOCK_SIZE + 3), 4 * BLOCK_SIZE, seed=0, workers=2, chunk_size=1)
+    assert err.value.index == BLOCK_SIZE
 
 
 def test_replicate_error_survives_pickling():
@@ -155,7 +154,7 @@ def test_manifest_accounting(tmp_path):
 
 def test_single_replicate_run():
     results, manifest = map_replicated(EchoTask(), 1, seed=2, workers=1)
-    assert len(results) == 1
+    assert len(results) == 1 and len(results[0]) == 1
     assert manifest.total_replicates == 1
     assert sum(manifest.worker_replicates.values()) == 1
 

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+import musemc.estimator as est
+import musemc.policy as pol
 from musemc.estimator import RateSchedule
-from musemc.fixtures import deterministic_chain
+from musemc.fixtures import deterministic_chain, mixing_three_stage
+from musemc.parallel import BLOCK_SIZE
 from musemc.policy import (
     CONTINUE,
     FORCED,
@@ -58,6 +62,27 @@ def test_decide_stop_guards():
     full = hist.extended([1.0])
     with pytest.raises(ValueError):
         decide_stop(full, 2, 1.0, chain, identity_reward(), config(2), derive_substream(0, (82,)))
+
+
+def test_row_wise_decisions_match_one_row_reductions():
+    """Each row's mean and se equal the 1-d reductions of its slice of one inner batch."""
+    proc = mixing_three_stage()
+    cfg = config(3, inner=7)
+    ctx = est._compile_context(proc, identity_reward(), cfg.schedule, cfg.level_policy)
+    states = np.array([[-2.0], [-1.0], [1.0], [2.0], [1.0]])
+    fx = np.array([0.5, 0.0, 1.5, 1.0, -0.5])
+    stop, decisions, costs = pol._decide(states, 1, fx, cfg, RandomStream(97).generator, ctx)
+    values, batch_costs, _ = est._run_batch(1, np.repeat(states, 7, axis=0), 35, RandomStream(97).generator, ctx)
+    z = float(ndtri(1.0 - cfg.alpha / 2.0))
+    for i, d in enumerate(decisions):
+        row = values[7 * i:7 * (i + 1)]
+        assert (d.stage, d.fx) == (1, fx[i])
+        assert d.y_bar == float(row.mean())
+        assert d.std_error == float(row.std(ddof=1)) / math.sqrt(7)
+        assert costs[i] == int(batch_costs[7 * i:7 * (i + 1)].sum())
+        assert stop[i] == (fx[i] > d.y_bar - z * d.std_error)
+        assert d.decision == (STOP if stop[i] else CONTINUE)
+    assert set(stop.tolist()) == {True, False}
 
 
 # ----------------------------------------------------------------- episodes
@@ -133,16 +158,46 @@ def test_paths_do_not_depend_on_inner_batch_size():
         assert a.diagnostics[0].fx == b.diagnostics[0].fx
 
 
+def test_harness_paths_do_not_depend_on_decisions():
+    """In a block, every path is drawn whatever the decisions, inner batch size or tolerance."""
+    proc = gaussian_iid(horizon=3)
+    runs = []
+    for inner in (5, 500):
+        for eps in (0.0, 0.5, 2.0):
+            outcomes, _ = run_stopping_policy(
+                proc, identity_reward(), config(3, inner=inner, tolerance=eps), BLOCK_SIZE + 4, RandomStream(89)
+            )
+            runs.append(outcomes)
+    first = runs[0]
+    for outcomes in runs[1:]:
+        assert [o.diagnostics[0].fx for o in outcomes] == [o.diagnostics[0].fx for o in first]
+        for a, b in zip(first, outcomes):  # later stages too, where both episodes got there
+            for da, db in zip(a.diagnostics, b.diagnostics):
+                assert da.fx == db.fx
+
+
 def test_tau_is_monotone_in_tolerance():
-    """For a fixed seed, a larger slack never stops later."""
+    """For a fixed seed, a larger slack never stops later.
+
+    A lone episode sees the same inner draws at every tolerance, so its tau
+    is monotone.  In a block the stage-k inner batches share one substream
+    among the episodes still running, so only the stage-1 batches (all
+    episodes run there) are the same at every tolerance: an episode that
+    stops at stage 1 under some slack stops there under any larger one.
+    """
     proc = gaussian_iid(horizon=4)
-    taus = {}
-    for eps in (0.0, 0.5, 2.0, math.inf):
-        outcomes, _ = run_stopping_policy(proc, identity_reward(), config(4, inner=40, tolerance=eps), 30, RandomStream(90))
-        taus[eps] = [o.tau for o in outcomes]
-    assert all(b <= a for a, b in zip(taus[0.0], taus[0.5]))
-    assert all(b <= a for a, b in zip(taus[0.5], taus[2.0]))
-    assert all(t == 1 for t in taus[math.inf])
+    tolerances = (0.0, 0.5, 2.0, math.inf)
+    alone, block = {}, {}
+    for eps in tolerances:
+        cfg = config(4, inner=40, tolerance=eps)
+        alone[eps] = [run_episode(proc, identity_reward(), cfg, e, RandomStream(90, (e,))).tau for e in range(30)]
+        outcomes, _ = run_stopping_policy(proc, identity_reward(), cfg, 30, RandomStream(90))
+        block[eps] = [o.tau for o in outcomes]
+    for small, large in zip(tolerances, tolerances[1:]):
+        assert all(b <= a for a, b in zip(alone[small], alone[large]))
+        assert all(b == 1 for a, b in zip(block[small], block[large]) if a == 1)
+    assert all(t == 1 for t in alone[math.inf] + block[math.inf])
+    assert block[0.0] != block[2.0]  # the slack does change decisions at this seed
 
 
 def test_episodes_are_reproducible():
@@ -161,10 +216,50 @@ def test_policy_summary_accounts_costs():
 
 
 def test_episode_task_matches_run_episode():
+    """The harness runs block b of the episodes as one task block on substream (b,)."""
     proc = gaussian_iid(horizon=3)
     task = PolicyEpisodeTask(proc, identity_reward(), config(3))
-    direct = run_episode(proc, identity_reward(), config(3), 7, derive_substream(93, (7,)))
-    assert task(7, derive_substream(93, (7,))) == direct
+    outcomes, _ = run_stopping_policy(proc, identity_reward(), config(3), BLOCK_SIZE + 7, RandomStream(93))
+    assert [o.episode for o in outcomes] == list(range(BLOCK_SIZE + 7))
+    # compared through repr: a forced stop's nan diagnostics never compare equal
+    assert repr(task.run_block(0, BLOCK_SIZE, derive_substream(93, (0,)))) == repr(outcomes[:BLOCK_SIZE])
+    assert repr(task.run_block(BLOCK_SIZE, 7, derive_substream(93, (1,)))) == repr(outcomes[BLOCK_SIZE:])
+
+
+def test_run_episode_is_a_block_of_one():
+    proc = gaussian_iid(horizon=3)
+    task = PolicyEpisodeTask(proc, identity_reward(), config(3, inner=30))
+    taus = set()
+    for e in range(12):
+        direct = run_episode(proc, identity_reward(), config(3, inner=30), e, derive_substream(93, (e,)))
+        assert repr(task.run_block(e, 1, derive_substream(93, (e,)))) == repr([direct])
+        taus.add(direct.tau)
+    assert taus == {1, 2, 3}
+
+
+def test_policy_batches_stay_under_the_cap(monkeypatch):
+    cap = 64
+    monkeypatch.setattr(est, "_MAX_GROUP", cap)
+    monkeypatch.setattr(pol, "_MAX_GROUP", cap)
+    run_batch = pol._run_batch
+    widths = []
+    views = []
+
+    def recording(k, parents, count, gen, ctx):
+        widths.append(count)
+        views.append(parents.strides[0] == 0)  # one episode's state broadcast, not copied
+        return run_batch(k, parents, count, gen, ctx)
+
+    monkeypatch.setattr(pol, "_run_batch", recording)
+    proc = gaussian_iid(horizon=3)
+    for inner in (5, cap, 100):
+        widths.clear()
+        views.clear()
+        outcomes, _ = run_stopping_policy(proc, identity_reward(), config(3, inner=inner), 40, RandomStream(96))
+        assert max(widths) <= max(cap, inner)
+        assert max(widths) == max(cap // inner, 1) * inner  # full batches of whole episodes
+        assert sum(widths) == inner * sum(o.tau - (o.tau == proc.horizon) for o in outcomes)
+        assert all(views) == (inner >= cap)  # a lone row is a view, several rows are copied
 
 
 def test_config_validation():

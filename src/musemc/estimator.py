@@ -424,18 +424,11 @@ class MuseReplicateTask:
         self.reward_spec = reward_spec
         self.schedule = schedule
         self.policy = policy
-        self._ctx = None
 
     def run_block(self, start, count, stream) -> SampleBlock:
-        if self._ctx is None:
-            self._ctx = _compile_context(self.process, self.reward_spec, self.schedule, self.policy)
-        v, c, lv = _run_batch(0, None, count, stream.generator, self._ctx)
+        ctx = _compile_context(self.process, self.reward_spec, self.schedule, self.policy)
+        v, c, lv = _run_batch(0, None, count, stream.generator, ctx)
         return SampleBlock(v, lv, c, self.policy.is_truncated)
 
     def __call__(self, index, stream) -> EstimatorSample:
         return self.run_block(index, 1, stream)[0]
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_ctx"] = None
-        return state

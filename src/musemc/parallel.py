@@ -7,9 +7,11 @@ substream ``(b,)``, and runs as one ``task.run_block(start, count, stream)``
 call.  Estimator replicates (``MuseReplicateTask``) and policy episodes
 (``PolicyEpisodeTask``) are both such block tasks.  The merged output is a
 function of the seed and ``BLOCK_SIZE`` alone -- bit-identical for any
-worker count or chunk size.  Work is dealt to a process pool in contiguous
-chunks of whole blocks; a failing block aborts the run and reports its
-first index.
+worker count.  Work is dealt to a process pool in contiguous chunks of
+whole blocks, and each chunk's results are kept at its position.  A failing
+block aborts the run: the run reports the first index of the earliest
+failing block, the same at every worker count, and chunks not yet started
+never run.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ import os
 import time
 import json
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .streams import RandomStream
 
 BLOCK_SIZE = 256  # items per keyed block
-DEFAULT_CHUNK = 64  # cap on the blocks in an automatic chunk
+DEFAULT_CHUNK = 64  # cap on the blocks in a chunk
 WORKERS_ENV = "MUSE_WORKERS"
 
 
@@ -62,17 +64,9 @@ class RunManifest:
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "total_replicates": self.total_replicates,
-            "workers": self.workers,
-            "chunk_size": self.chunk_size,
-            "block_size": self.block_size,
-            "wall_time_s": self.wall_time,
-            "worker_wall_times": self.worker_wall_times,
-            "worker_replicates": self.worker_replicates,
-            "config": self.config,
-        }
+        out = asdict(self)
+        out["wall_time_s"] = out.pop("wall_time")
+        return out
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -85,7 +79,9 @@ def resolve_workers(requested: int | None = None) -> int:
     explicit request, then the machine's CPU count."""
     env = os.environ.get(WORKERS_ENV)
     if env is not None and env.strip():
-        return max(1, int(env))
+        if not env.strip().lstrip("+-").isdigit() or int(env) < 1:
+            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env.strip()}")
+        return int(env)
     if requested is not None:
         return max(1, int(requested))
     return os.cpu_count() or 1
@@ -100,7 +96,7 @@ def _root(seed) -> RandomStream:
 
 
 def _run_chunk(task, master_seed, start, stop):
-    """Run the blocks covering items ``start..stop-1``; returns (start, results, pid, seconds).
+    """Run the blocks covering items ``start..stop-1``; returns (results, pid, seconds).
 
     ``master_seed`` is the run's root: an int seed or a ``RandomStream``.
     ``start`` is a multiple of ``BLOCK_SIZE``, and there is one result per
@@ -115,27 +111,17 @@ def _run_chunk(task, master_seed, start, stop):
             out.append(task.run_block(a, min(BLOCK_SIZE, stop - a), root.child(block)))
         except Exception as exc:  # noqa: BLE001 - reported with the block's first index
             raise ReplicateError(a, f"in block {block}: {type(exc).__name__}: {exc}") from exc
-    return start, out, os.getpid(), time.perf_counter() - t0
+    return out, os.getpid(), time.perf_counter() - t0
 
 
-def _chunk_size(n: int, workers: int, requested: int | None) -> int:
-    """Items per chunk: a whole number of blocks, a request rounded up to one."""
-    if requested:
-        if requested < 1:
-            raise ValueError("chunk_size must be a positive integer")
-        return BLOCK_SIZE * -(-int(requested) // BLOCK_SIZE)
-    # small enough that workers stay busy, large enough to amortize dispatch
-    blocks = -(-n // BLOCK_SIZE)
-    return BLOCK_SIZE * max(1, min(DEFAULT_CHUNK, -(-blocks // (4 * workers))))
-
-
-def map_replicated(task, n_replicates: int, seed, workers: int | None = None, chunk_size: int | None = None, config: dict | None = None):
+def map_replicated(task, n_replicates: int, seed, workers: int | None = None, config: dict | None = None):
     """Run ``task`` over items 0..n-1; returns (results, manifest).
 
     ``seed`` is an int or the ``RandomStream`` the run is rooted at.  Block
     ``b`` is one ``task.run_block(start_b, count_b, stream_b)`` call, and
-    ``results`` holds one result per block, ordered by block regardless of
-    completion order.
+    ``results`` holds one result per block, in block order.  If any block
+    raises, the run raises the ``ReplicateError`` of the earliest failing
+    block, at every worker count, and chunks not yet started never run.
     An explicit ``workers`` is taken as given; ``None`` defers to
     ``resolve_workers``.  ``task`` must be picklable when more than one
     worker is used.
@@ -143,50 +129,33 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, ch
     if n_replicates < 1:
         raise ValueError("n_replicates must be a positive integer")
     root = _root(seed)
-    workers = max(1, int(workers)) if workers is not None else resolve_workers()
-    chunk = _chunk_size(n_replicates, workers, chunk_size)
-
-    starts = list(range(0, n_replicates, chunk))
-    results: list = [None] * -(-n_replicates // BLOCK_SIZE)
-    filled = np.zeros(len(results), dtype=bool)
-    worker_times: dict[int, float] = {}
-    worker_counts: dict[int, int] = {}
+    workers = resolve_workers() if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError("workers must be a positive integer")
+    # chunks of whole blocks: small enough that workers stay busy, large
+    # enough to amortize dispatch
+    blocks = -(-n_replicates // BLOCK_SIZE)
+    chunk = BLOCK_SIZE * max(1, min(DEFAULT_CHUNK, -(-blocks // (4 * workers))))
+    spans = [(start, min(start + chunk, n_replicates)) for start in range(0, n_replicates, chunk)]
     t0 = time.perf_counter()
 
-    def absorb(start, out, pid, elapsed):
-        first = start // BLOCK_SIZE
-        last = first + len(out)
-        if filled[first:last].any():
-            raise RuntimeError(f"replicates {start}..{start + chunk - 1} merged twice")
-        results[first:last] = out
-        filled[first:last] = True
-        worker_times[pid] = worker_times.get(pid, 0.0) + elapsed
-        worker_counts[pid] = worker_counts.get(pid, 0) + min(start + chunk, n_replicates) - start
-
     if workers == 1:
-        for start in starts:
-            absorb(*_run_chunk(task, root, start, min(start + chunk, n_replicates)))
+        chunks = [_run_chunk(task, root, start, stop) for start, stop in spans]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, task, root, start, min(start + chunk, n_replicates))
-                for start in starts
-            ]
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for fut in done:
-                    exc = fut.exception()
-                    if exc is not None:
-                        for other in pending:
-                            other.cancel()
-                        raise exc
-                    absorb(*fut.result())
+            futures = [pool.submit(_run_chunk, task, root, start, stop) for start, stop in spans]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            for fut in futures:
+                fut.cancel()  # a no-op on chunks already started, which include all before a failure
+            chunks = [fut.result() for fut in futures]
 
-    if not filled.all():
-        missing = int(np.flatnonzero(~filled)[0]) * BLOCK_SIZE
-        raise RuntimeError(f"replicate {missing} was never produced")
-
+    results = []
+    worker_times: dict[int, float] = {}
+    worker_counts: dict[int, int] = {}
+    for (start, stop), (out, pid, seconds) in zip(spans, chunks):
+        results += out
+        worker_times[pid] = worker_times.get(pid, 0.0) + seconds
+        worker_counts[pid] = worker_counts.get(pid, 0) + stop - start
     pids = sorted(worker_times)
     manifest = RunManifest(
         master_seed=root.master_seed,
@@ -198,17 +167,15 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, ch
         worker_replicates={f"worker-{rank}": worker_counts[pid] for rank, pid in enumerate(pids)},
         config=dict(config or {}),
     )
-    if sum(manifest.worker_replicates.values()) != n_replicates:
-        raise RuntimeError("per-worker replicate counts do not sum to the requested total")
     return results, manifest
 
 
-def run_replicated(task, n_replicates: int, seed, workers: int | None = None, chunk_size: int | None = None, config: dict | None = None):
+def run_replicated(task, n_replicates: int, seed, workers: int | None = None, config: dict | None = None):
     """``map_replicated`` for estimator tasks; returns (samples, values, costs, manifest).
 
     The task is a block task whose blocks are ``SampleBlock`` columns;
     ``samples`` is their concatenation, one entry per replicate.
     """
-    blocks, manifest = map_replicated(task, n_replicates, seed, workers=workers, chunk_size=chunk_size, config=config)
+    blocks, manifest = map_replicated(task, n_replicates, seed, workers=workers, config=config)
     samples = blocks[0].concat(blocks)
     return samples, samples.values, samples.costs, manifest

@@ -25,7 +25,7 @@ from scipy.special import ndtri
 from .estimator import _MAX_GROUP, LevelPolicy, RateSchedule, _compile_context, _run_batch
 from .inference import BatchSummary, summarize
 from .parallel import map_replicated
-from .processes import ProcessSpec
+from .processes import ProcessSpec, validate_history
 from .rewards import RewardSpec
 from .streams import RandomStream, as_generator
 
@@ -87,6 +87,7 @@ def decide_stop(history, stage: int, fx: float, process: ProcessSpec, reward_spe
     """One decision: estimate the continuation value and compare against fx."""
     if history.stage != stage:
         raise ValueError(f"history is at stage {history.stage}, expected {stage}")
+    validate_history(process, history)
     if not 1 <= stage <= process.horizon - 1:
         raise ValueError(f"decisions happen at stages 1..{process.horizon - 1}, got {stage}")
     ctx = _compile_context(process, reward_spec, config.schedule, config.level_policy)

@@ -184,6 +184,21 @@ def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsy
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, env", [(["estimate", "--replicates", 10], "0"), (["stop", "--workers", 2], "-3")])
+def test_nonpositive_muse_workers_fails_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, env):
+    """The environment variable wins over ``--workers``, so it is checked as strictly."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replicate ran before MUSE_WORKERS was checked")
+
+    monkeypatch.setattr(cli, "run_replicated", refuse)
+    monkeypatch.setattr(cli, "_run_episodes", refuse)
+    monkeypatch.setenv("MUSE_WORKERS", env)
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: MUSE_WORKERS must be a positive integer, got {env}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_rate_counts_must_match_the_horizon(tmp_path):
     """A rate list of the wrong length is a user error, not a traceback."""
     assert run(["bermudan", "--dates", "0,1,2,3", "--geo-rate", "0.6,0.6", "--out-dir", tmp_path]) == 1

@@ -1,9 +1,11 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
+from musemc import parallel
 from musemc.estimator import MuseReplicateTask, RateSchedule
 from musemc.fixtures import two_point_two_stage
 from musemc.parallel import (
@@ -38,33 +40,60 @@ class FailAt:
         return list(range(start, start + count))
 
 
+class SlowFailFirst:
+    """Block 0 fails after a pause; block 2 fails at once."""
+
+    def run_block(self, start, count, stream):
+        if start == 0:
+            time.sleep(0.5)
+            raise ValueError("slow failure")
+        if start == 2 * BLOCK_SIZE:
+            raise ValueError("fast failure")
+        return list(range(start, start + count))
+
+
+class MarkThenFailFirst:
+    """Leaves a marker file per block it starts; block 0 fails at once, the others take a while."""
+
+    def __init__(self, directory):
+        self.directory = directory
+
+    def run_block(self, start, count, stream):
+        (self.directory / f"block-{start // BLOCK_SIZE}").touch()
+        if start == 0:
+            raise ValueError("first block fails")
+        time.sleep(0.5)
+        return list(range(start, start + count))
+
+
 def test_results_are_ordered_and_keyed_by_index():
     n = 2 * BLOCK_SIZE + 3
-    results, manifest = map_replicated(EchoTask(), n, seed=17, workers=1, chunk_size=3)
+    results, manifest = map_replicated(EchoTask(), n, seed=17, workers=1)
     assert [len(block) for block in results] == [BLOCK_SIZE, BLOCK_SIZE, 3]
     for b, block in enumerate(results):
         draws = derive_substream(17, (b,)).generator.random(len(block)).tolist()
         assert block == list(zip(range(b * BLOCK_SIZE, b * BLOCK_SIZE + len(block)), draws))
     assert manifest.total_replicates == n
-    assert manifest.chunk_size == BLOCK_SIZE  # a request is rounded up to whole blocks
+    assert manifest.chunk_size == BLOCK_SIZE  # three blocks at one worker: a block per chunk
     assert manifest.block_size == BLOCK_SIZE
 
 
 def test_single_and_multi_worker_agree_exactly():
     n = 2 * BLOCK_SIZE + 3
     a, _ = map_replicated(EchoTask(), n, seed=5, workers=1)
-    b, _ = map_replicated(EchoTask(), n, seed=5, workers=2, chunk_size=1)
+    b, _ = map_replicated(EchoTask(), n, seed=5, workers=2)
     assert a == b
 
 
-def test_chunk_size_never_changes_results():
+def test_chunk_size_never_changes_results(monkeypatch):
     task = fixture_task()
-    n = 2 * BLOCK_SIZE + 3
-    base, _, _, manifest = run_replicated(task, n, seed=6, workers=1, chunk_size=1)
-    assert manifest.chunk_size == BLOCK_SIZE  # chunks hold whole blocks
-    for chunk in (BLOCK_SIZE + 1, 2 * BLOCK_SIZE, n, None):
-        again, _, _, manifest = run_replicated(task, n, seed=6, workers=1, chunk_size=chunk)
-        assert manifest.chunk_size % BLOCK_SIZE == 0
+    n = 9 * BLOCK_SIZE + 3  # ten blocks: at one worker an uncapped chunk holds three
+    base, _, _, manifest = run_replicated(task, n, seed=6, workers=1)
+    assert manifest.chunk_size == 3 * BLOCK_SIZE
+    for cap in (1, 2, 64):
+        monkeypatch.setattr(parallel, "DEFAULT_CHUNK", cap)
+        again, _, _, manifest = run_replicated(task, n, seed=6, workers=1)
+        assert manifest.chunk_size == min(cap, 3) * BLOCK_SIZE
         assert np.array_equal(again.values, base.values)
         assert np.array_equal(again.top_levels, base.top_levels)
         assert np.array_equal(again.costs, base.costs)
@@ -74,7 +103,7 @@ def test_estimator_task_parallel_equals_sequential():
     task = fixture_task()
     n = 2 * BLOCK_SIZE + 3
     samples, values1, costs1, _ = run_replicated(task, n, seed=8, workers=1)
-    _, values2, costs2, _ = run_replicated(task, n, seed=8, workers=2, chunk_size=5)
+    _, values2, costs2, _ = run_replicated(task, n, seed=8, workers=2)
     assert np.array_equal(values1, values2)
     assert np.array_equal(costs1, costs2)
     assert costs1.sum() > 0
@@ -96,6 +125,10 @@ def test_workers_env_wins(monkeypatch):
     assert resolve_workers(2) == 2
     assert resolve_workers(None) == (os.cpu_count() or 1)
     assert resolve_workers(0) == 1
+    for bad in ("0", "-3", "two", "1.5"):
+        monkeypatch.setenv("MUSE_WORKERS", bad)
+        with pytest.raises(ValueError, match="MUSE_WORKERS must be a positive integer"):
+            resolve_workers(2)
 
 
 def test_fail_fast_reports_the_replicate_index():
@@ -120,8 +153,30 @@ def test_a_stream_root_keys_items_below_its_path():
 
 def test_fail_fast_across_processes():
     with pytest.raises(ReplicateError) as err:
-        map_replicated(FailAt(BLOCK_SIZE + 3), 4 * BLOCK_SIZE, seed=0, workers=2, chunk_size=1)
+        map_replicated(FailAt(BLOCK_SIZE + 3), 4 * BLOCK_SIZE, seed=0, workers=2)
     assert err.value.index == BLOCK_SIZE
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_run_reports_its_earliest_failing_block(workers):
+    """Block 2 fails first in time, but block 0 is the earliest failing block."""
+    with pytest.raises(ReplicateError) as err:
+        map_replicated(SlowFailFirst(), 4 * BLOCK_SIZE, seed=0, workers=workers)
+    assert err.value.index == 0
+    assert "slow failure" in str(err.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunks_not_started_when_a_block_fails_never_run(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one block per chunk
+    with pytest.raises(ReplicateError) as err:
+        map_replicated(MarkThenFailFirst(tmp_path), 16 * BLOCK_SIZE, seed=0, workers=workers)
+    assert err.value.index == 0
+    started = len(list(tmp_path.iterdir()))
+    # at one worker nothing runs after the failure; on a pool, at most the
+    # failed chunk, the chunk each worker is on, the pool's queue of
+    # workers + 1 chunks and the one slot it refills as the failure comes back
+    assert started == 1 if workers == 1 else started <= 2 * workers + 3
 
 
 def test_replicate_error_survives_pickling():
@@ -162,8 +217,9 @@ def test_single_replicate_run():
 def test_map_replicated_guards():
     with pytest.raises(ValueError):
         map_replicated(EchoTask(), 0, seed=0)
-    with pytest.raises(ValueError):
-        map_replicated(EchoTask(), 5, seed=0, chunk_size=-2)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            map_replicated(EchoTask(), 5, seed=0, workers=workers)
     with pytest.raises(TypeError):  # a float seed is not truncated to an int
         map_replicated(EchoTask(), 10, 3.7, workers=1)
 

@@ -62,6 +62,11 @@ def test_decide_stop_guards():
     full = hist.extended([1.0])
     with pytest.raises(ValueError):
         decide_stop(full, 2, 1.0, chain, identity_reward(), config(2), derive_substream(0, (82,)))
+    # the history is validated as multi_stage_muse validates it; an i.i.d.
+    # Gaussian stepper ignores its parents, so nothing downstream would catch these
+    for state in ([0.5, 1.0], [float("nan")]):
+        with pytest.raises(ValueError, match="history state at stage 1"):
+            decide_stop(EMPTY_HISTORY.extended(state), 1, 0.5, gaussian_iid(horizon=2), identity_reward(), config(2), derive_substream(0, (82,)))
 
 
 def test_row_wise_decisions_match_one_row_reductions():

@@ -2,7 +2,8 @@
 
 * ``mc1_estimate`` -- mean of per-path reward maxima.  It estimates
   E[max_k f(k, X_k)], which upper-bounds the stopping value (the max peeks
-  at the whole path), so its bias is one-sided and usually visible.
+  at the whole path), so its bias is one-sided and usually visible.  It is
+  the arity-1 case of ``mc2_estimate``.
 * ``mc2_estimate`` -- a forest of fixed-arity trees reduced by backward
   induction; nested averaging shrinks the bias but the estimator stays
   biased at any finite arity.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .processes import ProcessSpec, USER_DISCRETE, compile_stepper, simulate_paths
+from .processes import ProcessSpec, USER_DISCRETE, compile_stepper
 from .rewards import RewardSpec, compile_reward
 from .streams import as_generator
 
@@ -45,17 +46,16 @@ class TreeSpec:
 
 
 def mc1_estimate(process: ProcessSpec, reward_spec: RewardSpec, horizon: int, n_paths: int, stream) -> float:
-    """Mean over ``n_paths`` simulated paths of max_k f(k, X_k)."""
+    """Mean over ``n_paths`` simulated paths of max_k f(k, X_k).
+
+    This is ``mc2_estimate`` on a forest of ``n_paths`` arity-1 trees: each
+    tree is one path, and its backward reduction is the path maximum.
+    """
     if horizon != process.horizon:
         raise ValueError(f"horizon {horizon} does not match the process horizon {process.horizon}")
     if n_paths < 1:
         raise ValueError("n_paths must be a positive integer")
-    paths = simulate_paths(process, n_paths, stream)
-    rew = compile_reward(reward_spec)
-    best = rew(1, paths[:, 0, :]).copy()
-    for s in range(2, horizon + 1):
-        np.maximum(best, rew(s, paths[:, s - 1, :]), out=best)
-    return float(best.mean())
+    return mc2_estimate(process, reward_spec, TreeSpec(1, horizon, n_paths), stream)
 
 
 def mc2_forest(process: ProcessSpec, reward_spec: RewardSpec, tree: TreeSpec, stream) -> np.ndarray:
@@ -64,8 +64,9 @@ def mc2_forest(process: ProcessSpec, reward_spec: RewardSpec, tree: TreeSpec, st
     Each tree draws one root state, then ``arity`` children per node down to
     the horizon.  Continuation values average max(reward, continuation) over
     each node's children; the tree estimate is max(root reward, root
-    continuation).  With arity 1 the tree reduction collapses to the path
-    maximum, matching ``mc1_estimate`` draw for draw on a shared stream.
+    continuation).  With arity 1 each tree is one path, drawn stage by stage
+    as ``simulate_paths`` draws it, and the reduction collapses to the path
+    maximum: ``mc1_estimate`` is this case.
     """
     if tree.depth != process.horizon:
         raise ValueError(f"tree depth {tree.depth} does not match the process horizon {process.horizon}")

@@ -7,9 +7,11 @@ baselines across horizons), ``bermudan`` (max-timing of a discounted basket
 put under GBM), and ``stop`` (episodes of the estimator-driven stopping
 policy).  Every command honors ``--seed``, ``--workers`` (overridden by the
 ``MUSE_WORKERS`` environment variable) and ``--out-dir``; ``estimate`` and
-``stop`` also read ``--config``.  The commands share one pipeline: flags
-become an instance and a rate schedule (``_resolve_instance``,
-``_resolve_schedule``), and ``_run`` runs and summarizes the replicates.
+``stop`` also read ``--config``.  ``main`` creates ``--out-dir`` before any
+replicate runs, so an unusable directory fails at once.  The commands share
+one pipeline: flags become an instance and a rate schedule
+(``_resolve_instance``, ``_resolve_schedule``), and ``_run`` runs and
+summarizes the replicates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .baselines import TreeSpec, gaussian_dp_oracle, mc1_estimate, mc2_estimate
 from .estimator import LevelPolicy, MuseReplicateTask, RateSchedule, theoretical_rate_schedule
-from .inference import bootstrap_ci, check_interval_args, clt_ci, self_normalized_variance, summarize, summary_to_json
+from .inference import bootstrap_ci, check_interval_args, clt_ci, summarize, summary_to_json
 from .parallel import run_replicated, resolve_workers
 from .policy import PolicyConfig, _run_episodes, run_stopping_policy, write_episode_log  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
 from .processes import gaussian_iid, gbm, process_spec_from_dict
@@ -41,6 +43,7 @@ def main(argv=None) -> int:
         if args.workers is not None and args.workers < 1:
             raise ValueError("--workers must be a positive integer")
         args.workers = resolve_workers(args.workers)
+        os.makedirs(args.out_dir, exist_ok=True)
         return args.handler(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -193,7 +196,6 @@ def _resolve_schedule(args, horizon) -> RateSchedule:
 
 
 def _out_path(args, name):
-    os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
 
 
@@ -231,7 +233,7 @@ def _estimate_and_write(args, process, reward_spec, schedule, policy, config_sna
         ci = clt_ci(summary, alpha=args.alpha)
     _write_replicates_csv(_out_path(args, "replicates.csv"), samples)
     _write_json(_out_path(args, "summary.json"), summary_to_json(summary, ci))
-    manifest.save(_out_path(args, "manifest.json"))
+    _write_json(_out_path(args, "manifest.json"), manifest.to_json())
     print(
         f"n={summary.n}  mean={summary.mean:.6f}  se={summary.std_error:.6f}  "
         f"{100 * ci.level:.0f}% CI [{ci.lo:.6f}, {ci.hi:.6f}]  cost={summary.total_cost}  "
@@ -277,9 +279,9 @@ def _cmd_tune_rate(args) -> int:
     rows = []
     manifests = []
     for r in grid:
-        samples, _, manifest = _run(args, process, reward_spec, RateSchedule.constant(float(r), args.horizon))
-        values, costs = samples.values, samples.costs
-        rows.append((float(r), float(costs.mean()), float(np.var(values, ddof=1)), self_normalized_variance(values, costs)))
+        samples, summary, manifest = _run(args, process, reward_spec, RateSchedule.constant(float(r), args.horizon))
+        mean_cost = float(samples.costs.mean())
+        rows.append((float(r), mean_cost, summary.variance, mean_cost * summary.variance))
         manifests.append(manifest.to_json())
     path = _out_path(args, "rate_grid.csv")
     with open(path, "w", newline="") as fh:
@@ -387,7 +389,7 @@ def _cmd_stop(args) -> int:
         "total_inner_cost": reward_summary.total_cost,
     }
     _write_json(_out_path(args, "policy_summary.json"), payload)
-    manifest.save(_out_path(args, "manifest.json"))
+    _write_json(_out_path(args, "manifest.json"), manifest.to_json())
     print(
         f"episodes={len(outcomes)}  mean reward={reward_summary.mean:.6f} (se {reward_summary.std_error:.6f})  "
         f"mean tau={taus.mean():.3f}  -> {args.out_dir}"

@@ -1,8 +1,8 @@
 """Batch summaries and confidence intervals for replicate arrays.
 
 The estimators hand back per-replicate values and integer costs; everything
-here is plain frequentist machinery on those arrays: streaming-stable mean
-and variance, CLT and percentile-bootstrap intervals, and the
+here is plain frequentist machinery on those arrays: one two-pass mean and
+variance (``summarize``), CLT and percentile-bootstrap intervals, and the
 cost-times-variance figure of merit used to tune geometric rates.
 """
 
@@ -49,30 +49,14 @@ class ConfidenceInterval:
     degenerate: bool = False
 
 
-def _mean_m2(values: np.ndarray) -> tuple[float, float]:
-    """Blockwise-merged mean and sum of squared deviations.
-
-    Merging block moments keeps the reduction numerically stable for large
-    batches without a Python-level loop per element.
-    """
-    mean = 0.0
-    m2 = 0.0
-    count = 0
-    for start in range(0, values.size, _BLOCK):
-        chunk = values[start : start + _BLOCK]
-        c = chunk.size
-        cmean = float(chunk.mean())
-        cm2 = float(((chunk - cmean) ** 2).sum())
-        total = count + c
-        delta = cmean - mean
-        m2 += cm2 + delta * delta * (count * c / total)
-        mean += delta * (c / total)
-        count = total
-    return mean, m2
-
-
 def summarize(values, costs, wall_time: float = 0.0) -> BatchSummary:
-    """Reduce replicate values and costs to a BatchSummary."""
+    """Reduce replicate values and costs to a BatchSummary.
+
+    Two passes over the values: ``mean`` is ``values.mean()`` and the sample
+    variance is the sum of squared deviations from it over ``n - 1``, both
+    numpy's pairwise sums -- bit-equal to ``np.var(values, ddof=1)``, without
+    its per-call overhead.
+    """
     values = np.asarray(values, dtype=float)
     costs = np.asarray(costs)
     if values.ndim != 1 or values.size == 0:
@@ -80,9 +64,8 @@ def summarize(values, costs, wall_time: float = 0.0) -> BatchSummary:
     if costs.shape != values.shape:
         raise ValueError("values and costs must have matching length")
     n = values.size
-    mean, m2 = _mean_m2(values)
-    variance = m2 / (n - 1) if n > 1 else 0.0
-    variance = max(variance, 0.0)
+    mean = float(values.mean())
+    variance = float(((values - mean) ** 2).sum()) / (n - 1) if n > 1 else 0.0
     return BatchSummary(
         n=n,
         mean=mean,
@@ -179,16 +162,11 @@ def self_normalized_variance(values, costs) -> float:
 
     By Wald-type reasoning this is proportional to the variance achievable
     per unit of sampling budget, so comparing it across rates is a fair
-    cost-adjusted comparison.
+    cost-adjusted comparison.  The variance is ``summarize``'s.
     """
-    values = np.asarray(values, dtype=float)
     costs = np.asarray(costs, dtype=float)
-    if values.shape != costs.shape or values.ndim != 1 or values.size == 0:
-        raise ValueError("values and costs must be matching nonempty 1-d arrays")
-    if values.size == 1:
-        return 0.0
-    _, m2 = _mean_m2(values)
-    return float(costs.mean()) * (m2 / (values.size - 1))
+    variance = summarize(values, costs).variance
+    return float(costs.mean()) * variance
 
 
 def summary_to_json(summary: BatchSummary, ci: ConfidenceInterval) -> dict:

@@ -8,23 +8,20 @@ call.  Estimator replicates (``MuseReplicateTask``) and policy episodes
 (``PolicyEpisodeTask``) are both such block tasks.  The merged output is a
 function of the seed and ``BLOCK_SIZE`` alone -- bit-identical for any
 worker count.  Work is dealt to a process pool in contiguous chunks of
-whole blocks, and each chunk's results are kept at its position.  A failing
-block aborts the run: the run reports the first index of the earliest
-failing block, the same at every worker count, and chunks not yet started
-never run.
+whole blocks, one process per chunk at most, and each chunk's results are
+kept at its position.  A failing block aborts the run: the run reports the
+first index of the earliest failing block, the same at every worker count,
+and chunks not yet started never run.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import json
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from .streams import RandomStream
+from .streams import as_stream
 
 BLOCK_SIZE = 256  # items per keyed block
 DEFAULT_CHUNK = 64  # cap on the blocks in a chunk
@@ -68,11 +65,6 @@ class RunManifest:
         out["wall_time_s"] = out.pop("wall_time")
         return out
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: the MUSE_WORKERS environment variable wins, then the
@@ -87,14 +79,6 @@ def resolve_workers(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _root(seed) -> RandomStream:
-    if isinstance(seed, RandomStream):
-        return seed
-    if isinstance(seed, (int, np.integer)):
-        return RandomStream(int(seed))
-    raise TypeError(f"a run is rooted at an int seed or a RandomStream, got {type(seed).__name__}")
-
-
 def _run_chunk(task, master_seed, start, stop):
     """Run the blocks covering items ``start..stop-1``; returns (results, pid, seconds).
 
@@ -103,7 +87,7 @@ def _run_chunk(task, master_seed, start, stop):
     block.
     """
     t0 = time.perf_counter()
-    root = _root(master_seed)
+    root = as_stream(master_seed)
     out = []
     for a in range(start, stop, BLOCK_SIZE):
         block = a // BLOCK_SIZE
@@ -123,12 +107,13 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
     raises, the run raises the ``ReplicateError`` of the earliest failing
     block, at every worker count, and chunks not yet started never run.
     An explicit ``workers`` is taken as given; ``None`` defers to
-    ``resolve_workers``.  ``task`` must be picklable when more than one
-    worker is used.
+    ``resolve_workers``.  Above one worker the pool holds ``min(workers,
+    chunks)`` processes; the manifest records the requested ``workers``.
+    ``task`` must be picklable when more than one worker is used.
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be a positive integer")
-    root = _root(seed)
+    root = as_stream(seed)
     workers = resolve_workers() if workers is None else int(workers)
     if workers < 1:
         raise ValueError("workers must be a positive integer")
@@ -142,7 +127,8 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
     if workers == 1:
         chunks = [_run_chunk(task, root, start, stop) for start, stop in spans]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-started pool forks all of its processes at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
             futures = [pool.submit(_run_chunk, task, root, start, stop) for start, stop in spans]
             wait(futures, return_when=FIRST_EXCEPTION)
             for fut in futures:

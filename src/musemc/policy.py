@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .estimator import _MAX_GROUP, LevelPolicy, RateSchedule, _compile_context, _run_batch
+from .estimator import _MAX_GROUP, LevelPolicy, RateSchedule, _compile_context, _group_bounds, _run_batch
 from .inference import BatchSummary, summarize
 from .parallel import map_replicated
 from .processes import ProcessSpec, validate_history
@@ -46,7 +46,6 @@ class PolicyConfig:
     inner_replicates: int
     tolerance: float | None = None
     alpha: float = 0.05
-    level_policy: LevelPolicy = LevelPolicy()
 
     def __post_init__(self):
         if self.inner_replicates < 1:
@@ -90,7 +89,7 @@ def decide_stop(history, stage: int, fx: float, process: ProcessSpec, reward_spe
     validate_history(process, history)
     if not 1 <= stage <= process.horizon - 1:
         raise ValueError(f"decisions happen at stages 1..{process.horizon - 1}, got {stage}")
-    ctx = _compile_context(process, reward_spec, config.schedule, config.level_policy)
+    ctx = _compile_context(process, reward_spec, config.schedule, LevelPolicy())
     last = np.asarray(history.last(), dtype=float)[None, :]
     stop, decisions, _ = _decide(last, stage, np.array([float(fx)]), config, as_generator(stream), ctx)
     return bool(stop[0]), decisions[0]
@@ -100,9 +99,10 @@ def _decide(states, stage, fx, config, gen, ctx):
     """Decide at ``stage`` for the episodes whose states are the rows of ``states``.
 
     ``fx`` holds their rewards on the table.  The rows' inner batches draw
-    from ``gen`` in row order, ``max(1, _MAX_GROUP // inner_replicates)``
-    rows to a ``_run_batch``, so no batch is wider than the cap or one inner
-    batch.  Returns (stop mask, one ``StageDecision`` per row, inner draws
+    from ``gen`` in row order, one ``_run_batch`` per group of
+    ``_group_bounds`` under ``_MAX_GROUP`` (``max(1, _MAX_GROUP //
+    inner_replicates)`` rows), so no batch is wider than the cap or one
+    inner batch.  Returns (stop mask, one ``StageDecision`` per row, inner draws
     per row as a list); the last is 0 when no inner batch ran.
     """
     if math.isinf(config.tolerance or 0.0):
@@ -111,12 +111,10 @@ def _decide(states, stage, fx, config, gen, ctx):
         return np.ones(fx.size, dtype=bool), [StageDecision(stage, float(f), nan, nan, STOP) for f in fx], 0
     n = config.inner_replicates
     d = states.shape[1]
-    rows_per_batch = max(1, _MAX_GROUP // n)
     y_bar = np.empty(fx.size)
     se = np.zeros(fx.size)
     costs = np.empty(fx.size, dtype=np.int64)
-    for a in range(0, fx.size, rows_per_batch):
-        b = min(a + rows_per_batch, fx.size)
+    for a, b in _group_bounds(np.full(fx.size, n), _MAX_GROUP):
         # each row repeated n times; a lone row stays a view, so a wide inner batch copies nothing
         parents = np.broadcast_to(states[a:b, None], (b - a, n, d)).reshape(-1, d)
         values, batch_costs = _run_batch(stage, parents, (b - a) * n, gen, ctx)[:2]
@@ -187,7 +185,7 @@ class PolicyEpisodeTask:
         self.config = config
 
     def run_block(self, start, count, stream) -> list[PolicyOutcome]:
-        ctx = _compile_context(self.process, self.reward_spec, self.config.schedule, self.config.level_policy)
+        ctx = _compile_context(self.process, self.reward_spec, self.config.schedule, LevelPolicy())
         path_gen = stream.child(0).generator
         state = ctx.step(1, None, count, path_gen)
         running = np.arange(count)

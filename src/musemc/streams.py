@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["RandomStream", "derive_substream"]
+__all__ = ["RandomStream", "as_stream", "derive_substream"]
 
 
 class RandomStream:
@@ -60,12 +60,19 @@ def derive_substream(master_seed: int, path: Iterable[int]) -> RandomStream:
     return RandomStream(master_seed, tuple(path))
 
 
+def as_stream(seed) -> RandomStream:
+    """The stream a seed names: an int seed is the root stream of that master
+    seed, and a ``RandomStream`` is itself.  Anything else (a float, a numpy
+    ``Generator``) raises ``TypeError``; nothing is truncated to an int."""
+    if isinstance(seed, RandomStream):
+        return seed
+    if isinstance(seed, (int, np.integer)):
+        return RandomStream(int(seed))
+    raise TypeError(f"expected an int seed or a RandomStream, got {type(seed).__name__}")
+
+
 def as_generator(stream) -> np.random.Generator:
-    """Accept a RandomStream, a numpy Generator, or an int seed."""
-    if isinstance(stream, RandomStream):
-        return stream.generator
+    """A numpy ``Generator`` passes through; otherwise ``as_stream(stream).generator``."""
     if isinstance(stream, np.random.Generator):
         return stream
-    if isinstance(stream, (int, np.integer)):
-        return RandomStream(int(stream)).generator
-    raise TypeError(f"expected RandomStream, numpy Generator, or int seed, got {type(stream)!r}")
+    return as_stream(stream).generator

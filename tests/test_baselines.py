@@ -19,8 +19,8 @@ from musemc.fixtures import (
     skewed_three_stage,
     two_point_two_stage,
 )
-from musemc.processes import gaussian_iid, user_discrete
-from musemc.rewards import identity_reward
+from musemc.processes import gaussian_iid, gbm, simulate_paths, user_discrete
+from musemc.rewards import basket_put, compile_reward, identity_reward
 from musemc.streams import derive_substream
 
 
@@ -165,6 +165,16 @@ def test_mc2_arity_one_is_mc1_exactly():
     a = mc2_estimate(proc, identity_reward(), tree, stream(55))
     b = mc1_estimate(proc, identity_reward(), 4, 500, stream(55))
     assert a == b
+
+
+def test_mc1_is_the_mean_of_simulated_path_maxima():
+    """Independent of the tree code: GBM d=2 basket-put maxima over ``simulate_paths`` on the same stream."""
+    proc = gbm(dimension=2, horizon=3, gamma=0.05, div_yield=0.0, sigma=0.2, spot=100.0, times=(0.0, 1.0, 2.0))
+    reward_spec = basket_put(strike=100.0, discount=0.05, times=proc.times)
+    rew = compile_reward(reward_spec)
+    paths = simulate_paths(proc, 3000, stream(62))
+    maxima = np.max([rew(s, paths[:, s - 1, :]) for s in range(1, 4)], axis=0)
+    assert mc1_estimate(proc, reward_spec, 3, 3000, stream(62)) == float(maxima.mean())
 
 
 def test_mc2_depth_one_is_plain_monte_carlo():

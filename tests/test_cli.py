@@ -184,6 +184,19 @@ def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsy
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["estimate", "tune-rate", "gaussian-suite", "bermudan", "stop"])
+def test_unusable_out_dir_fails_before_any_replicate_runs(tmp_path, monkeypatch, capsys, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replicate ran before --out-dir was created")
+
+    monkeypatch.setattr(cli, "run_replicated", refuse)
+    monkeypatch.setattr(cli, "_run_episodes", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run([command, "--out-dir", blocker / "out"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv, env", [(["estimate", "--replicates", 10], "0"), (["stop", "--workers", 2], "-3")])
 def test_nonpositive_muse_workers_fails_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, env):
     """The environment variable wins over ``--workers``, so it is checked as strictly."""

@@ -1,6 +1,7 @@
 import json
 import os
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ def test_replicate_error_survives_pickling():
     assert "boom" in str(err)
 
 
-def test_manifest_accounting(tmp_path):
+def test_manifest_accounting():
     task = fixture_task()
     blocks, manifest = map_replicated(task, 12, seed=3, workers=1, config={"note": "fixture"})
     assert len(blocks) == 1 and len(blocks[0]) == 12
@@ -198,9 +199,7 @@ def test_manifest_accounting(tmp_path):
     assert all(t >= 0.0 for t in manifest.worker_wall_times.values())
     assert manifest.config == {"note": "fixture"}
 
-    out = tmp_path / "manifest.json"
-    manifest.save(out)
-    payload = json.loads(out.read_text())
+    payload = json.loads(json.dumps(manifest.to_json()))
     assert payload["total_replicates"] == 12
     assert payload["workers"] == 1
     assert payload["block_size"] == BLOCK_SIZE
@@ -222,6 +221,36 @@ def test_map_replicated_guards():
             map_replicated(EchoTask(), 5, seed=0, workers=workers)
     with pytest.raises(TypeError):  # a float seed is not truncated to an int
         map_replicated(EchoTask(), 10, 3.7, workers=1)
+
+
+def test_the_pool_starts_no_more_processes_than_there_are_chunks(monkeypatch):
+    """A fake pool records its size and runs each chunk here, so no process starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    small, manifest = map_replicated(EchoTask(), 10, seed=4, workers=64)
+    assert sizes == [1]
+    assert manifest.workers == 64
+    assert small == map_replicated(EchoTask(), 10, seed=4, workers=1)[0]
+    three, manifest = map_replicated(EchoTask(), 3 * BLOCK_SIZE, seed=4, workers=64)
+    assert sizes == [1, 3]
+    assert manifest.workers == 64
+    assert three == map_replicated(EchoTask(), 3 * BLOCK_SIZE, seed=4, workers=1)[0]
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs at least 4 cores to measure speedup")

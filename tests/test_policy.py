@@ -6,7 +6,7 @@ from scipy.special import ndtri
 
 import musemc.estimator as est
 import musemc.policy as pol
-from musemc.estimator import RateSchedule
+from musemc.estimator import LevelPolicy, RateSchedule
 from musemc.fixtures import deterministic_chain, mixing_three_stage
 from musemc.parallel import BLOCK_SIZE
 from musemc.policy import (
@@ -73,7 +73,7 @@ def test_row_wise_decisions_match_one_row_reductions():
     """Each row's mean and se equal the 1-d reductions of its slice of one inner batch."""
     proc = mixing_three_stage()
     cfg = config(3, inner=7)
-    ctx = est._compile_context(proc, identity_reward(), cfg.schedule, cfg.level_policy)
+    ctx = est._compile_context(proc, identity_reward(), cfg.schedule, LevelPolicy())
     states = np.array([[-2.0], [-1.0], [1.0], [2.0], [1.0]])
     fx = np.array([0.5, 0.0, 1.5, 1.0, -0.5])
     stop, decisions, costs = pol._decide(states, 1, fx, cfg, RandomStream(97).generator, ctx)

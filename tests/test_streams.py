@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from musemc.streams import RandomStream, as_generator, derive_substream
+from musemc.streams import RandomStream, as_generator, as_stream, derive_substream
 
 
 def test_same_key_same_draws():
@@ -60,6 +60,16 @@ def test_as_generator_accepts_all_forms():
 def test_as_generator_rejects_other_types():
     with pytest.raises(TypeError):
         as_generator("seed")
+
+
+def test_as_stream_takes_an_int_or_a_stream_only():
+    stream = RandomStream(9, (2,))
+    assert as_stream(stream) is stream
+    root = as_stream(np.int64(9))
+    assert (root.master_seed, root.path) == (9, ())
+    for bad in (3.7, "seed", np.random.default_rng(3), None):
+        with pytest.raises(TypeError):
+            as_stream(bad)
 
 
 def test_repr_mentions_key():

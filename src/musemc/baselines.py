@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .processes import ProcessSpec, USER_DISCRETE, compile_stepper
 from .rewards import RewardSpec, compile_reward
@@ -98,6 +97,8 @@ def mc2_estimate(process: ProcessSpec, reward_spec: RewardSpec, tree: TreeSpec, 
 
 
 def _std_normal_cdf(c: float) -> float:
+    from scipy.special import erfc  # deferred: scipy.special is most of the time `import musemc` takes
+
     return 0.5 * erfc(-c / math.sqrt(2.0))
 
 

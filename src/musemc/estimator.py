@@ -294,7 +294,9 @@ def _run_batch(k, parents, count, gen, ctx):
         for _batch in range(batches):
             cv, cc, _ = _run_batch(k + 1, child_parents, seg.size, gen, ctx)
             tot += np.bincount(seg, weights=cv, minlength=b - a)
-            odd += np.bincount(seg[odd_mask], weights=cv[odd_mask], minlength=b - a)
+            # even children weigh +0.0, which leaves a +0.0-started sum unchanged
+            # (where selects, so an inf or nan even child stays out of it)
+            odd += np.bincount(seg, weights=np.where(odd_mask, cv, 0.0), minlength=b - a)
             child_cost += np.bincount(seg, weights=cc, minlength=b - a)
         # valued per group while its arrays are still in cache: one pass over
         # a 5e4-row batch took about twice as long as the per-group passes

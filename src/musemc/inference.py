@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .streams import RandomStream
 
@@ -105,6 +104,8 @@ def clt_ci(summary: BatchSummary, alpha: float = 0.05) -> ConfidenceInterval:
     check_interval_args(alpha)
     if summary.n < 1:
         raise ValueError("summary must cover at least one replicate")
+    from scipy.special import ndtri  # deferred: scipy.special is most of the time `import musemc` takes
+
     z = float(ndtri(1.0 - alpha / 2.0))
     half = z * summary.std_error
     return ConfidenceInterval(

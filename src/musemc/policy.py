@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .estimator import _MAX_GROUP, LevelPolicy, RateSchedule, _compile_context, _group_bounds, _run_batch
 from .inference import BatchSummary, summarize
@@ -60,15 +59,32 @@ class PolicyConfig:
         return self.tolerance is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageDecision:
-    """Diagnostics for one decision point (or the forced final stop)."""
+    """Diagnostics for one decision point (or the forced final stop).
+
+    A stop that ran no inner batch records ``nan`` in ``y_bar`` and
+    ``std_error``; equality and hashing treat a ``nan`` field as equal to
+    ``nan``, so identical decisions (and episodes) compare equal.
+    """
 
     stage: int
     fx: float
     y_bar: float
     std_error: float
     decision: str
+
+    def _key(self):
+        fields = (self.stage, self.fx, self.y_bar, self.std_error, self.decision)
+        return tuple(None if isinstance(v, float) and math.isnan(v) else v for v in fields)
+
+    def __eq__(self, other):
+        if not isinstance(other, StageDecision):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -124,7 +140,12 @@ def _decide(states, stage, fx, config, gen, ctx):
             se[a:b] = values.std(axis=1, ddof=1) / math.sqrt(n)
         costs[a:b] = batch_costs.reshape(b - a, n).sum(axis=1)
         del parents, values, batch_costs  # freed before the next batch runs, so one batch is live at a time
-    eps = config.tolerance if not config.adaptive else float(ndtri(1.0 - config.alpha / 2.0)) * se
+    if config.adaptive:
+        from scipy.special import ndtri  # deferred: scipy.special is most of the time `import musemc` takes
+
+        eps = float(ndtri(1.0 - config.alpha / 2.0)) * se
+    else:
+        eps = config.tolerance
     stop = fx > y_bar - eps
     decisions = [
         StageDecision(stage, float(f), float(y), float(s), STOP if halt else CONTINUE)

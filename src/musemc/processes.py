@@ -232,34 +232,46 @@ def compile_stepper(spec: ProcessSpec):
             dt = dts[stage - 1]
             if dt == 0.0:
                 return np.array(base, dtype=float, copy=True)
-            shock = sigma * math.sqrt(dt) * gen.standard_normal((count, d))
-            return base * np.exp(drift * dt + shock)
+            # in place, in the order of base * exp(drift * dt + sigma * sqrt(dt) * z),
+            # so the draws are bit-identical to that formula without its temporaries
+            z = gen.standard_normal((count, d))
+            z *= sigma * math.sqrt(dt)
+            z += drift * dt
+            np.exp(z, out=z)
+            z *= base
+            return z
 
         return step
 
-    # UserDiscrete: per-row categorical draw via precomputed cumulative rows.
+    # UserDiscrete: a parent resolves to its position in the sorted support,
+    # and the child index counts the cumulative transition entries strictly
+    # below u, one contiguous column at a time (each column is permuted into
+    # sorted-support order here, once).  That is the same count as comparing
+    # u against the parent's whole cumulative row, without a (count x m)
+    # gather; a row whose cumulative sum ends below 1 can count all m
+    # entries, hence the clip to m - 1.
     support = np.asarray(spec.support, dtype=float)
     order = np.argsort(support)
     sorted_support = support[order]
-    cum_init = np.cumsum(np.asarray(spec.transitions[0], dtype=float))
-    cum_mats = [np.cumsum(np.asarray(m, dtype=float), axis=1) for m in spec.transitions[1:]]
     m = support.size
-
-    def lookup(values):
-        pos = np.searchsorted(sorted_support, values)
-        pos = np.clip(pos, 0, m - 1)
-        idx = order[pos]
-        if not np.array_equal(support[idx], values):
-            raise ValueError("state value not in the process support")
-        return idx
+    cum_init = np.cumsum(np.asarray(spec.transitions[0], dtype=float))
+    cum_cols = [
+        [np.ascontiguousarray(col) for col in np.cumsum(np.asarray(mat, dtype=float), axis=1)[order].T]
+        for mat in spec.transitions[1:]
+    ]
 
     def step(stage, parents, count, gen):
         u = gen.random(count)
         if stage == 1:
             idx = np.searchsorted(cum_init, u, side="right")
         else:
-            rows = cum_mats[stage - 2][lookup(parents[:, 0])]
-            idx = (rows < u[:, None]).sum(axis=1)
+            values = parents[:, 0]
+            pos = np.minimum(np.searchsorted(sorted_support, values), m - 1)
+            if not np.array_equal(sorted_support[pos], values):
+                raise ValueError("state value not in the process support")
+            idx = np.zeros(count, dtype=np.intp)
+            for col in cum_cols[stage - 2]:
+                idx += col[pos] < u
         idx = np.minimum(idx, m - 1)
         return support[idx][:, None]
 

@@ -1,12 +1,18 @@
 import csv
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import musemc
 import musemc.cli as cli
 from musemc.cli import _build_parser, _rate_grid, main
+from musemc.fixtures import mixing_three_stage
 from musemc.parallel import BLOCK_SIZE
 
 
@@ -366,6 +372,27 @@ def test_stop_partial_last_block_is_worker_count_independent(tmp_path):
     assert json.loads(blobs[1][1])["episodes"] == n
 
 
+def test_stop_on_the_mixing_chain_writes_pinned_bytes(tmp_path):
+    """`muse stop` on mixing_three_stage at a fixed seed writes these exact files.
+
+    The digests pin the discrete stepper's draws and the estimator's
+    reductions end to end: a rewrite of either must reproduce every bit.
+    """
+    chain = mixing_three_stage()
+    transitions = [list(chain.transitions[0])] + [[list(row) for row in mat] for mat in chain.transitions[1:]]
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({"process": {"kind": "UserDiscrete", "support": list(chain.support), "transitions": transitions}}))
+    code = run(["stop", "--config", cfg, "--rates", 0.6, "--inner-replicates", 2000, "--episodes", 12,
+                "--seed", 2024, "--workers", 1, "--out-dir", tmp_path])
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("episodes.csv", "policy_summary.json")}
+    assert digests == {
+        "episodes.csv": "4b32af4699b44aa02619eaca35e5cdd1b4c2eac692e85a45f2072c7a6fec0f69",
+        "policy_summary.json": "abf5f81e83e9ab44c7b797d60f7d69d1f0c31d95ac9949189fbb524724652b5c",
+    }
+
+
 def test_stop_from_config(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(
@@ -387,6 +414,14 @@ def test_stop_from_config(tmp_path):
 
 
 # ------------------------------------------------------------------ plumbing
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """Importing the package does not load scipy.special; its three call sites import it on first use."""
+    src = os.path.dirname(os.path.dirname(musemc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    check = "import sys, musemc; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
 
 def test_workers_env_overrides_flag(tmp_path, monkeypatch):

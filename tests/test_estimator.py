@@ -449,6 +449,58 @@ def test_no_stepper_call_below_the_top_batch_exceeds_the_cap(monkeypatch):
     assert max(rows[1:]) <= 16
 
 
+def test_odd_half_sums_keep_signed_zeros_inf_and_nan(monkeypatch):
+    """The odd-half sum equals the sum over the odd children alone, bit for bit.
+
+    Rows of -0.0, +0.0, +-inf and nan children go through ``_run_batch``;
+    the half-averages handed to ``_delta`` must match a sum over the odd
+    children only, so a nan or inf even child stays out of the odd half.
+    """
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        [-0.0],
+        [-0.0, -0.0],
+        [0.0, -0.0],
+        [-0.0, nan, -0.0, 1.0],
+        [inf, -inf, 2.0, 3.0],
+        [nan, 0.0, -0.0, 0.0, 1.0, -1.0, 0.5, nan],
+        [-inf, inf, -0.0, -0.0, 1.0, 2.0, 3.0, 4.0],
+        [1e308, 1e308, 1e308, -1e308],
+        [-5.0, inf],
+    ]
+    levels = np.array([len(r).bit_length() - 1 for r in rows], dtype=np.int64)
+    children = np.array([v for r in rows for v in r])
+    anchors = np.zeros(len(rows))
+
+    def step(stage, parents, count, gen):
+        return (anchors if stage == 1 else children)[:, None].copy()
+
+    ctx = est._Context(2, (0.6,), step, lambda stage, x: x[:, 0])
+    monkeypatch.setattr(est, "_sample_levels", lambda gen, r, count, policy: levels)
+    halves = []
+    delta = est._delta
+
+    def recording_delta(anchor, odd_avg, even_avg):
+        halves.append((odd_avg.copy(), even_avg.copy()))
+        return delta(anchor, odd_avg, even_avg)
+
+    monkeypatch.setattr(est, "_delta", recording_delta)
+    with np.errstate(invalid="ignore", over="ignore"):
+        values, _, _ = est._run_batch(0, None, len(rows), None, ctx)
+        seg = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        odd_mask = np.concatenate([np.arange(len(r)) % 2 == 0 for r in rows])
+        tot = np.bincount(seg, weights=children, minlength=len(rows))
+        odd = np.bincount(seg[odd_mask], weights=children[odd_mask], minlength=len(rows))
+        h = 0.5 * (np.int64(1) << levels)
+        assert len(halves) == 1
+        assert halves[0][0].tobytes() == (odd / h).tobytes()
+        assert halves[0][1].tobytes() == ((tot - odd) / h).tobytes()
+        assert np.signbit(halves[0][0][1:3]).tolist() == [False, False]  # -0.0 + -0.0 sums to +0.0
+        assert not math.isnan(halves[0][0][3])  # the nan child is even
+        full = np.where(levels == 0, np.maximum(anchors, tot), delta(anchors, odd / h, (tot - odd) / h))
+        assert values.tobytes() == (full / est._pmf(0.6, levels, LevelPolicy())).tobytes()
+
+
 def test_group_bounds_partition():
     m = np.array([1, 2, 3, 4], dtype=np.int64)
     assert est._group_bounds(m, 6) == [(0, 3), (3, 4)]

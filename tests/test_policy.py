@@ -15,6 +15,7 @@ from musemc.policy import (
     STOP,
     PolicyConfig,
     PolicyEpisodeTask,
+    StageDecision,
     decide_stop,
     run_episode,
     run_stopping_policy,
@@ -212,6 +213,23 @@ def test_episodes_are_reproducible():
     assert a == b
 
 
+def test_forced_episodes_compare_equal_and_hash_alike():
+    """A forced stop's nan diagnostics compare equal to themselves, so replays of it do."""
+    proc = gaussian_iid(horizon=3)
+    cfg = config(3, tolerance=0.0)
+    runs = [run_episode(proc, identity_reward(), cfg, e, derive_substream(96, (e,))) for e in range(8)]
+    forced = next(o for o in runs if o.diagnostics[-1].decision == FORCED)
+    assert math.isnan(forced.diagnostics[-1].y_bar)
+    again = run_episode(proc, identity_reward(), cfg, forced.episode, derive_substream(96, (forced.episode,)))
+    assert again == forced and hash(again) == hash(forced)
+    assert len({forced, again}) == 1
+    last = forced.diagnostics[-1]
+    assert last == StageDecision(last.stage, last.fx, float("nan"), float("nan"), FORCED)
+    assert last != StageDecision(last.stage, last.fx, 0.0, float("nan"), FORCED)
+    assert last != StageDecision(last.stage, last.fx, float("nan"), float("nan"), STOP)
+    assert forced != runs[(runs.index(forced) + 1) % len(runs)]
+
+
 def test_policy_summary_accounts_costs():
     proc = gaussian_iid(horizon=3)
     outcomes, summary = run_stopping_policy(proc, identity_reward(), config(3, inner=10), 25, RandomStream(92))
@@ -226,9 +244,8 @@ def test_episode_task_matches_run_episode():
     task = PolicyEpisodeTask(proc, identity_reward(), config(3))
     outcomes, _ = run_stopping_policy(proc, identity_reward(), config(3), BLOCK_SIZE + 7, RandomStream(93))
     assert [o.episode for o in outcomes] == list(range(BLOCK_SIZE + 7))
-    # compared through repr: a forced stop's nan diagnostics never compare equal
-    assert repr(task.run_block(0, BLOCK_SIZE, derive_substream(93, (0,)))) == repr(outcomes[:BLOCK_SIZE])
-    assert repr(task.run_block(BLOCK_SIZE, 7, derive_substream(93, (1,)))) == repr(outcomes[BLOCK_SIZE:])
+    assert task.run_block(0, BLOCK_SIZE, derive_substream(93, (0,))) == outcomes[:BLOCK_SIZE]
+    assert task.run_block(BLOCK_SIZE, 7, derive_substream(93, (1,))) == outcomes[BLOCK_SIZE:]
 
 
 def test_run_episode_is_a_block_of_one():
@@ -237,7 +254,7 @@ def test_run_episode_is_a_block_of_one():
     taus = set()
     for e in range(12):
         direct = run_episode(proc, identity_reward(), config(3, inner=30), e, derive_substream(93, (e,)))
-        assert repr(task.run_block(e, 1, derive_substream(93, (e,)))) == repr([direct])
+        assert task.run_block(e, 1, derive_substream(93, (e,))) == [direct]
         taus.add(direct.tau)
     assert taus == {1, 2, 3}
 

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from musemc.processes import (
     EMPTY_HISTORY,
     ProcessSpec,
     TrajectoryHistory,
+    compile_stepper,
     exact_conditional_mean,
     gaussian_iid,
     gbm,
@@ -289,3 +292,82 @@ def test_load_process_spec_roundtrip(tmp_path):
     spec = load_process_spec(path)
     assert spec.kind == "GBM"
     assert spec.spot == 90.0
+
+
+# ------------------------------------------------- discrete stepper equivalence
+
+
+class _FixedUniforms:
+    """A generator stand-in whose ``random(count)`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, count):
+        assert count == self.u.size
+        return self.u.copy()
+
+
+def _gather_compare_sum(spec, stage, parents, u):
+    """The reference draw: gather each parent's cumulative row, count the entries below u."""
+    support = np.asarray(spec.support, dtype=float)
+    order = np.argsort(support)
+    m = support.size
+    pos = np.clip(np.searchsorted(support[order], parents[:, 0]), 0, m - 1)
+    idx = order[pos]
+    assert np.array_equal(support[idx], parents[:, 0])
+    rows = np.cumsum(np.asarray(spec.transitions[stage - 1], dtype=float), axis=1)[idx]
+    return support[np.minimum((rows < u[:, None]).sum(axis=1), m - 1)][:, None]
+
+
+@st.composite
+def _discrete_draws(draw):
+    m = draw(st.integers(1, 6))
+    support = draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m, unique=True))
+    weights = st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any)
+    # a row scaled by 1 - 5e-13 still passes validation, but its cumulative
+    # sum ends below 1, so a u above it counts all m entries
+    short = st.sampled_from([1.0, 1.0 - 5e-13])
+    init = np.array(draw(weights), dtype=float)
+    mats = []
+    for _stage in (2, 3):
+        mat = []
+        for _ in range(m):
+            row = np.array(draw(weights), dtype=float)
+            mat.append(tuple(row / row.sum() * draw(short)))
+        mats.append(tuple(mat))
+    spec = user_discrete([float(v) for v in support], (tuple(init / init.sum()), *mats))
+    cum = np.cumsum(np.array(mats), axis=2).ravel()
+    near_one = np.nextafter(1.0, 0.0)
+    pool = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, near_one, 1.0 - 1e-13, *cum.tolist()]))
+    count = draw(st.integers(1, 40))
+    u = np.array(draw(st.lists(pool, min_size=count, max_size=count)))
+    return spec, u, draw(st.sampled_from(spec.support))
+
+
+@given(_discrete_draws())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_discrete_stepper_matches_gather_compare_sum(case):
+    spec, u, parent = case
+    step = compile_stepper(spec)
+    count = u.size
+    mixed = np.repeat(np.array(spec.support)[:, None], -(-count // len(spec.support)), axis=0)[:count]
+    for parents in (
+        np.broadcast_to(np.array([parent]), (count, 1)),  # one parent, repeated as a view
+        np.repeat(np.array([[parent]]), count, axis=0),  # the same parent, copied
+        mixed,  # every support point as a parent
+    ):
+        for stage in (2, 3):
+            got = step(stage, parents, count, _FixedUniforms(u))
+            want = _gather_compare_sum(spec, stage, parents, u)
+            assert got.shape == (count, 1)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_discrete_stepper_rejects_an_out_of_support_parent():
+    spec = user_discrete((3.0, 1.0, 2.0), ((1.0, 0.0, 0.0), ((1.0, 0.0, 0.0),) * 3))
+    step = compile_stepper(spec)
+    for bad in ([[2.0], [2.5]], [[4.0]], [[0.0]], [[float("nan")]]):
+        parents = np.array(bad)
+        with pytest.raises(ValueError, match="not in the process support"):
+            step(2, parents, len(bad), _FixedUniforms(np.full(len(bad), 0.5)))

@@ -217,7 +217,7 @@ def _delta(anchor, odd_avg, even_avg):
 
 def _sample_levels(gen, r, count, policy):
     if not policy.is_truncated:
-        return gen.geometric(r, size=count).astype(np.int64) - 1
+        return gen.geometric(r, size=count).astype(np.int64, copy=False) - 1
     cap = policy.max_level
     # invert the renormalized geometric CDF on {0..cap}
     norm = -math.expm1((cap + 1) * math.log1p(-r))
@@ -280,6 +280,9 @@ def _run_batch(k, parents, count, gen, ctx):
     r = ctx.rates[k]
     levels = _sample_levels(gen, r, count, ctx.policy)
     m = np.int64(1) << levels
+    # one pmf per level, the same float operations as per row; count >= 1
+    pmf = _pmf(r, np.arange(int(levels.max()) + 1), ctx.policy)
+    leaves = k + 1 == ctx.horizon - 1  # every child then costs exactly one draw
     values = np.empty(count)
     costs = np.empty(count, dtype=np.int64)
     for a, b in _group_bounds(m, _MAX_GROUP):
@@ -287,23 +290,31 @@ def _run_batch(k, parents, count, gen, ctx):
         batches = max(1, int(mg.sum()) // _MAX_GROUP)  # > 1 only for one wide row
         width = mg // batches  # children per row in each batch; even when batches > 1
         seg = np.repeat(np.arange(b - a), width)
-        starts = np.cumsum(width) - width
-        odd_mask = ((np.arange(seg.size) - starts[seg]) & 1) == 0  # children 1, 3, 5, ... of a row
+        # children 1, 3, 5, ... of a row sit at the positions of its start's
+        # parity, which flips after each one-child row (every other width is
+        # even); an xor scan is cheaper than the cumulative sum of the widths
+        one = width == 1
+        odd_start = np.logical_xor.accumulate(one) ^ one
         child_parents = np.repeat(x[a:b], width, axis=0)
         tot = odd = child_cost = 0.0
         for _batch in range(batches):
             cv, cc, _ = _run_batch(k + 1, child_parents, seg.size, gen, ctx)
             tot += np.bincount(seg, weights=cv, minlength=b - a)
-            # even children weigh +0.0, which leaves a +0.0-started sum unchanged
-            # (where selects, so an inf or nan even child stays out of it)
-            odd += np.bincount(seg, weights=np.where(odd_mask, cv, 0.0), minlength=b - a)
-            child_cost += np.bincount(seg, weights=cc, minlength=b - a)
+            # a row's odd half sums its odd children alone, from +0.0, so an
+            # inf or nan even child stays out of it
+            odd += np.where(
+                odd_start,
+                np.bincount(seg[1::2], weights=cv[1::2], minlength=b - a),
+                np.bincount(seg[0::2], weights=cv[0::2], minlength=b - a),
+            )
+            if not leaves:
+                child_cost += np.bincount(seg, weights=cc, minlength=b - a)
         # valued per group while its arrays are still in cache: one pass over
         # a 5e4-row batch took about twice as long as the per-group passes
         h = 0.5 * mg
         delta = np.where(mg == 1, np.maximum(anchors[a:b], tot), _delta(anchors[a:b], odd / h, (tot - odd) / h))
-        values[a:b] = delta / _pmf(r, levels[a:b], ctx.policy)
-        costs[a:b] = 1 + np.rint(child_cost).astype(np.int64)
+        values[a:b] = delta / pmf[levels[a:b]]
+        costs[a:b] = 1 + (mg if leaves else np.rint(child_cost).astype(np.int64))
     return values, costs, levels
 
 

@@ -243,20 +243,22 @@ def compile_stepper(spec: ProcessSpec):
 
         return step
 
-    # UserDiscrete: a parent resolves to its position in the sorted support,
-    # and the child index counts the cumulative transition entries strictly
-    # below u, one contiguous column at a time (each column is permuted into
-    # sorted-support order here, once).  That is the same count as comparing
-    # u against the parent's whole cumulative row, without a (count x m)
-    # gather; a row whose cumulative sum ends below 1 can count all m
-    # entries, hence the clip to m - 1.
+    # UserDiscrete: the child index counts the cumulative transition entries
+    # at or below u (searchsorted's side="right"), so a zero-probability
+    # state is never drawn, not even at u = 0.0.  Only the first m - 1
+    # entries count: they are nondecreasing, so the count stops at m - 1
+    # even when a row's sum ends below 1.  After stage 1, a parent resolves
+    # to its sorted-support position by m - 1 compares, and the count runs
+    # over contiguous columns permuted into that order here, once.  Both
+    # counts add in the narrowest type that holds m - 1 (cheaper adds) and
+    # widen to intp before indexing (a narrow index gathers slowly).
     support = np.asarray(spec.support, dtype=float)
+    small = np.min_scalar_type(support.size - 1)
     order = np.argsort(support)
     sorted_support = support[order]
-    m = support.size
-    cum_init = np.cumsum(np.asarray(spec.transitions[0], dtype=float))
+    cum_init = np.cumsum(np.asarray(spec.transitions[0], dtype=float))[:-1]
     cum_cols = [
-        [np.ascontiguousarray(col) for col in np.cumsum(np.asarray(mat, dtype=float), axis=1)[order].T]
+        [np.ascontiguousarray(col) for col in np.cumsum(np.asarray(mat, dtype=float), axis=1)[order, :-1].T]
         for mat in spec.transitions[1:]
     ]
 
@@ -266,13 +268,16 @@ def compile_stepper(spec: ProcessSpec):
             idx = np.searchsorted(cum_init, u, side="right")
         else:
             values = parents[:, 0]
-            pos = np.minimum(np.searchsorted(sorted_support, values), m - 1)
+            pos = np.zeros(count, dtype=small)
+            for s in sorted_support[:-1]:
+                pos += s < values
+            pos = pos.astype(np.intp)
             if not np.array_equal(sorted_support[pos], values):
                 raise ValueError("state value not in the process support")
-            idx = np.zeros(count, dtype=np.intp)
+            idx = np.zeros(count, dtype=small)
             for col in cum_cols[stage - 2]:
-                idx += col[pos] < u
-        idx = np.minimum(idx, m - 1)
+                idx += col[pos] <= u
+            idx = idx.astype(np.intp)
         return support[idx][:, None]
 
     return step

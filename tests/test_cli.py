@@ -393,6 +393,44 @@ def test_stop_on_the_mixing_chain_writes_pinned_bytes(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "flags, digests",
+    [
+        (
+            ["--horizon", 3, "--ci", "clt", "--replicates", 3000, "--seed", 11],
+            ("0b9497c6b42dfc0e35232dd1de6ae43facefbd8f1a7e5cd2cb9cf3c7b890fdc0",
+             "1c0863640029b52b9dd90a37350b45cc8249315f1de2fdce8207b142ce51a76e"),
+        ),
+        (
+            ["--process", "gbm", "--dimension", 2, "--dates", "0,1,2,3", "--ci", "bootstrap",
+             "--bootstrap-resamples", 200, "--workers", 2, "--replicates", 1200, "--seed", 12],
+            ("93415637916a808f0cd3d7f8e3f6ba583a7642b9b907480aa39a951e7dac5360",
+             "c9270f8cf44fe88913b4f40e0cd12a64f758f85f0b0cd96c755eb70e218d0b08"),
+        ),
+        (
+            ["--horizon", 4, "--truncate-level", 3, "--replicates", 2000, "--seed", 13],
+            ("14fb6fd04de6935330629015d684c3939599b518240a1c759fe10897c3e91d72",
+             "0cb43ae4e487d1984df32357d13ff22a358b435b29ac75e5a1deb07908ef5c87"),
+        ),
+    ],
+    ids=["gaussian-t3-clt", "gbm-d2-bootstrap-w2", "gaussian-t4-truncated"],
+)
+def test_estimate_writes_pinned_bytes(tmp_path, flags, digests):
+    """`muse estimate` at a fixed seed writes these exact replicates and summary.
+
+    The summary is hashed without its ``wall_time_s`` key, re-serialized as
+    the CLI writes it, so every other value is pinned bit for bit.
+    """
+    assert run(["estimate", *flags, "--out-dir", tmp_path]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    del summary["wall_time_s"]
+    got = (
+        hashlib.sha256((tmp_path / "replicates.csv").read_bytes()).hexdigest(),
+        hashlib.sha256(json.dumps(summary, indent=2, sort_keys=True).encode()).hexdigest(),
+    )
+    assert got == digests
+
+
 def test_stop_from_config(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(

@@ -449,31 +449,27 @@ def test_no_stepper_call_below_the_top_batch_exceeds_the_cap(monkeypatch):
     assert max(rows[1:]) <= 16
 
 
-def test_odd_half_sums_keep_signed_zeros_inf_and_nan(monkeypatch):
-    """The odd-half sum equals the sum over the odd children alone, bit for bit.
+def _record_odd_half_sums(monkeypatch, rows):
+    """Run ``rows`` of children through one two-stage ``_run_batch``; check the halves it forms.
 
-    Rows of -0.0, +0.0, +-inf and nan children go through ``_run_batch``;
-    the half-averages handed to ``_delta`` must match a sum over the odd
-    children only, so a nan or inf even child stays out of the odd half.
+    Each row's children are drawn in order, in as many stepper calls as the
+    batch makes.  The half-averages handed to ``_delta`` must match, row by
+    row, the odd children (1, 3, 5, ...) summed alone from +0.0 and the
+    whole row summed from +0.0, so a nan or inf even child stays out of
+    the odd half.  Returns the recorded (odd, even) half-averages in row
+    order.
     """
-    nan, inf = float("nan"), float("inf")
-    rows = [
-        [-0.0],
-        [-0.0, -0.0],
-        [0.0, -0.0],
-        [-0.0, nan, -0.0, 1.0],
-        [inf, -inf, 2.0, 3.0],
-        [nan, 0.0, -0.0, 0.0, 1.0, -1.0, 0.5, nan],
-        [-inf, inf, -0.0, -0.0, 1.0, 2.0, 3.0, 4.0],
-        [1e308, 1e308, 1e308, -1e308],
-        [-5.0, inf],
-    ]
     levels = np.array([len(r).bit_length() - 1 for r in rows], dtype=np.int64)
     children = np.array([v for r in rows for v in r])
     anchors = np.zeros(len(rows))
+    drawn = []
 
     def step(stage, parents, count, gen):
-        return (anchors if stage == 1 else children)[:, None].copy()
+        if stage == 1:
+            return anchors[:, None].copy()
+        start = sum(drawn)
+        drawn.append(count)
+        return children[start:start + count, None].copy()
 
     ctx = est._Context(2, (0.6,), step, lambda stage, x: x[:, 0])
     monkeypatch.setattr(est, "_sample_levels", lambda gen, r, count, policy: levels)
@@ -487,18 +483,87 @@ def test_odd_half_sums_keep_signed_zeros_inf_and_nan(monkeypatch):
     monkeypatch.setattr(est, "_delta", recording_delta)
     with np.errstate(invalid="ignore", over="ignore"):
         values, _, _ = est._run_batch(0, None, len(rows), None, ctx)
-        seg = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        odd_mask = np.concatenate([np.arange(len(r)) % 2 == 0 for r in rows])
-        tot = np.bincount(seg, weights=children, minlength=len(rows))
-        odd = np.bincount(seg[odd_mask], weights=children[odd_mask], minlength=len(rows))
+        assert sum(drawn) == children.size
+        tot = np.zeros(len(rows))
+        odd = np.zeros(len(rows))
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                tot[i] += v
+                if j % 2 == 0:
+                    odd[i] += v
         h = 0.5 * (np.int64(1) << levels)
-        assert len(halves) == 1
-        assert halves[0][0].tobytes() == (odd / h).tobytes()
-        assert halves[0][1].tobytes() == ((tot - odd) / h).tobytes()
-        assert np.signbit(halves[0][0][1:3]).tolist() == [False, False]  # -0.0 + -0.0 sums to +0.0
-        assert not math.isnan(halves[0][0][3])  # the nan child is even
+        got_odd = np.concatenate([o for o, _ in halves])
+        got_even = np.concatenate([e for _, e in halves])
+        assert got_odd.tobytes() == (odd / h).tobytes()
+        assert got_even.tobytes() == ((tot - odd) / h).tobytes()
         full = np.where(levels == 0, np.maximum(anchors, tot), delta(anchors, odd / h, (tot - odd) / h))
         assert values.tobytes() == (full / est._pmf(0.6, levels, LevelPolicy())).tobytes()
+    return got_odd, got_even
+
+
+def test_odd_half_sums_keep_signed_zeros_inf_and_nan(monkeypatch):
+    """The odd-half sum equals the sum over the odd children alone, bit for bit.
+
+    Rows of -0.0, +0.0, +-inf and nan children go through ``_run_batch``,
+    with multi-child rows starting at odd positions, then at even and odd
+    ones, then with a wide row that a cap of 4 splits into four batches
+    (its values sum exactly, so its chunked sums must equal its row sums).
+    """
+    nan, inf = float("nan"), float("inf")
+    odd_starts = [
+        [-0.0],
+        [-0.0, -0.0],
+        [0.0, -0.0],
+        [-0.0, nan, -0.0, 1.0],
+        [inf, -inf, 2.0, 3.0],
+        [nan, 0.0, -0.0, 0.0, 1.0, -1.0, 0.5, nan],
+        [-inf, inf, -0.0, -0.0, 1.0, 2.0, 3.0, 4.0],
+        [1e308, 1e308, 1e308, -1e308],
+        [-5.0, inf],
+    ]
+    odd, _ = _record_odd_half_sums(monkeypatch, odd_starts)
+    assert np.signbit(odd[1:3]).tolist() == [False, False]  # -0.0 + -0.0 sums to +0.0
+    assert not math.isnan(odd[3])  # the nan child is even
+    mixed_starts = [
+        [-0.0, nan],
+        [-0.0, 1.0, -0.0, inf],
+        [-0.0],
+        [1.0],
+        [0.0, -0.0],
+        [inf, nan],
+        [-0.0],
+        [-inf, 1.0, -0.0, 2.0],
+    ]
+    odd, even = _record_odd_half_sums(monkeypatch, mixed_starts)
+    assert np.signbit(odd[[0, 1, 4]]).tolist() == [False, False, False]
+    assert math.isnan(even[0]) and not math.isnan(odd[0])
+    assert odd[5] == inf and math.isnan(even[5])
+    monkeypatch.setattr(est, "_MAX_GROUP", 4)
+    wide = [-0.0, nan, 1.0, -0.0, -0.0, 2.0, 3.0, inf, -0.0, 4.0, 5.0, -0.0, -0.0, 6.0, 7.0, 8.0]
+    odd, even = _record_odd_half_sums(monkeypatch, [[-0.0], [-0.0, 1.0], wide, [2.0, -0.0], [3.0]])
+    assert odd[2] == (1.0 + 3.0 + 5.0 + 7.0) / 8 and not np.signbit(odd[2])
+    assert math.isnan(even[2])
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 4])
+@pytest.mark.parametrize("policy", [LevelPolicy(), LevelPolicy.truncated(3)], ids=["untruncated", "truncated"])
+@pytest.mark.parametrize("cap", [None, 4], ids=["default-cap", "cap-4"])
+def test_batch_costs_sum_to_the_rows_drawn(monkeypatch, horizon, policy, cap):
+    """A top batch's costs add up to every state draw its stepper made, first draws included."""
+    if cap is not None:
+        monkeypatch.setattr(est, "_MAX_GROUP", cap)
+    ctx = est._compile_context(gaussian_iid(horizon=horizon), identity_reward(), RateSchedule.constant(0.6, horizon), policy)
+    rows = []
+    step = ctx.step
+
+    def counting_step(k, parents, count, gen):
+        rows.append(count)
+        return step(k, parents, count, gen)
+
+    ctx.step = counting_step
+    _, costs, levels = est._run_batch(0, None, 256, stream(horizon, seed=44).generator, ctx)
+    assert int(costs.sum()) == sum(rows)
+    assert levels.max() >= 3  # some rows expanded at least 8 children
 
 
 def test_group_bounds_partition():

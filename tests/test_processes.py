@@ -309,7 +309,7 @@ class _FixedUniforms:
 
 
 def _gather_compare_sum(spec, stage, parents, u):
-    """The reference draw: gather each parent's cumulative row, count the entries below u."""
+    """The reference draw: gather each parent's cumulative row, count the entries at or below u."""
     support = np.asarray(spec.support, dtype=float)
     order = np.argsort(support)
     m = support.size
@@ -317,7 +317,7 @@ def _gather_compare_sum(spec, stage, parents, u):
     idx = order[pos]
     assert np.array_equal(support[idx], parents[:, 0])
     rows = np.cumsum(np.asarray(spec.transitions[stage - 1], dtype=float), axis=1)[idx]
-    return support[np.minimum((rows < u[:, None]).sum(axis=1), m - 1)][:, None]
+    return support[np.minimum((rows <= u[:, None]).sum(axis=1), m - 1)][:, None]
 
 
 @st.composite
@@ -362,6 +362,20 @@ def test_discrete_stepper_matches_gather_compare_sum(case):
             want = _gather_compare_sum(spec, stage, parents, u)
             assert got.shape == (count, 1)
             assert got.tobytes() == want.tobytes()
+
+
+def test_discrete_stepper_never_draws_a_zero_probability_state():
+    """u = 0.0 falls on the zero cumulative entry of the row (0, 1), which counts, so state 1 is drawn.
+
+    Stage 1 draws the same row the same way.
+    """
+    row = (0.0, 1.0)
+    spec = user_discrete((0.0, 1.0), (row, (row, row), (row, row)))
+    step = compile_stepper(spec)
+    assert step(1, None, 1, _FixedUniforms([0.0])).tolist() == [[1.0]]
+    for stage in (2, 3):
+        for parent in (0.0, 1.0):
+            assert step(stage, np.array([[parent]]), 1, _FixedUniforms([0.0])).tolist() == [[1.0]]
 
 
 def test_discrete_stepper_rejects_an_out_of_support_parent():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processes import ProcessSpec, USER_DISCRETE, compile_stepper
+from .processes import ProcessSpec, USER_DISCRETE, check_int, compile_stepper
 from .rewards import RewardSpec, compile_reward
 from .streams import as_generator
 
@@ -36,12 +36,8 @@ class TreeSpec:
     forest_size: int
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError("arity must be a positive integer")
-        if self.depth < 1:
-            raise ValueError("depth must be a positive integer")
-        if self.forest_size < 1:
-            raise ValueError("forest_size must be a positive integer")
+        for name in ("arity", "depth", "forest_size"):
+            check_int(getattr(self, name), name)
 
 
 def mc1_estimate(process: ProcessSpec, reward_spec: RewardSpec, horizon: int, n_paths: int, stream) -> float:
@@ -52,8 +48,7 @@ def mc1_estimate(process: ProcessSpec, reward_spec: RewardSpec, horizon: int, n_
     """
     if horizon != process.horizon:
         raise ValueError(f"horizon {horizon} does not match the process horizon {process.horizon}")
-    if n_paths < 1:
-        raise ValueError("n_paths must be a positive integer")
+    check_int(n_paths, "n_paths")
     return mc2_estimate(process, reward_spec, TreeSpec(1, horizon, n_paths), stream)
 
 
@@ -113,8 +108,7 @@ def gaussian_dp_oracle(horizon: int) -> float:
     E[max(Z, c)] = c * Phi(c) + phi(c); iterating from U_1 = 0 gives U_T.
     Deterministic and accurate to near machine precision.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be a positive integer")
+    check_int(horizon, "horizon")
     u = 0.0
     for _ in range(horizon - 1):
         u = u * _std_normal_cdf(u) + _std_normal_pdf(u)

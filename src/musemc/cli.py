@@ -254,7 +254,7 @@ def _cmd_estimate(args) -> int:
         "dimension": process.dimension,
         "rates": list(schedule.rates),
         "replicates": args.replicates,
-        "level_policy": policy.mode,
+        "level_policy": "truncated" if policy.is_truncated else "untruncated",
     }
     _estimate_and_write(args, process, reward_spec, schedule, policy, snapshot)
     return 0
@@ -296,9 +296,10 @@ def _cmd_tune_rate(args) -> int:
 
 
 def _cmd_gaussian_suite(args) -> int:
-    horizons = [int(float(tok)) for tok in str(args.horizons).split(",") if tok.strip()]
-    if not horizons or min(horizons) < 2:
-        raise ValueError("horizons must be a comma-separated list of integers >= 2")
+    tokens = [tok.strip() for tok in str(args.horizons).split(",") if tok.strip()]
+    if not tokens or not all(tok.isdecimal() and int(tok) >= 2 for tok in tokens):
+        raise ValueError(f"--horizons must be a comma-separated list of integers >= 2, got {args.horizons!r}")
+    horizons = [int(tok) for tok in tokens]
     check_interval_args(args.alpha)
     for flag, count in (("--mc1-paths", args.mc1_paths), ("--trees", args.trees), ("--arity", args.arity)):
         if count < 1:

@@ -29,12 +29,9 @@ import numpy as np
 
 from .inference import BatchSummary, summarize
 from .parallel import run_replicated
-from .processes import ProcessSpec, TrajectoryHistory, compile_stepper, validate_history
+from .processes import ProcessSpec, TrajectoryHistory, check_int, compile_stepper, validate_history
 from .rewards import RewardSpec, compile_reward
 from .streams import as_generator
-
-UNTRUNCATED = "untruncated"
-TRUNCATED = "truncated"
 
 # cap on the children expanded in one batch, whether of several rows or a
 # chunk of one wide row; a power of two, so a wide row's chunks stay even
@@ -78,8 +75,7 @@ class RateSchedule:
 
     @classmethod
     def constant(cls, r: float, horizon: int) -> "RateSchedule":
-        if horizon < 1:
-            raise ValueError("horizon must be a positive integer")
+        check_int(horizon, "horizon")
         return cls(rates=(float(r),) * (horizon - 1))
 
 
@@ -104,25 +100,19 @@ class LevelPolicy:
     then biased, and samples produced under it say so.
     """
 
-    mode: str = UNTRUNCATED
     max_level: int | None = None
 
     def __post_init__(self):
-        if self.mode not in (UNTRUNCATED, TRUNCATED):
-            raise ValueError(f"unknown level policy mode {self.mode!r}")
-        if self.mode == TRUNCATED:
-            if self.max_level is None or self.max_level < 0:
-                raise ValueError("truncated level policy requires max_level >= 0")
-        elif self.max_level is not None:
-            raise ValueError("max_level only applies to the truncated mode")
+        if self.max_level is not None:
+            check_int(self.max_level, "max_level", low=0)
 
     @property
     def is_truncated(self) -> bool:
-        return self.mode == TRUNCATED
+        return self.max_level is not None
 
     @classmethod
     def truncated(cls, max_level: int) -> "LevelPolicy":
-        return cls(mode=TRUNCATED, max_level=int(max_level))
+        return cls(max_level=max_level)
 
 
 @dataclass(frozen=True)
@@ -175,11 +165,12 @@ class SampleBlock:
 
 
 def sample_geometric_level(r: float, stream) -> int:
-    """Draw N with P(N = n) = r (1-r)^n on {0, 1, 2, ...}."""
+    """Draw N with P(N = n) = r (1-r)^n on {0, 1, 2, ...}: ``_sample_levels``
+    on one uniform, in ``math`` (a one-element numpy draw costs ten times as much)."""
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    gen = as_generator(stream)
-    return int(gen.geometric(r)) - 1
+    u = as_generator(stream).random()
+    return max(0, math.ceil(math.log1p(-u) / math.log1p(-r)) - 1)
 
 
 def antithetic_delta(anchor: float, values) -> float:
@@ -216,25 +207,32 @@ def _delta(anchor, odd_avg, even_avg):
 
 
 def _sample_levels(gen, r, count, policy):
-    if not policy.is_truncated:
-        return gen.geometric(r, size=count).astype(np.int64, copy=False) - 1
-    cap = policy.max_level
-    # invert the renormalized geometric CDF on {0..cap}
-    norm = -math.expm1((cap + 1) * math.log1p(-r))
+    """``count`` levels, each the least n with u * norm <= 1 - (1-r)^(n+1) for one uniform u.
+
+    ``ceil - 1``, not ``floor``: at u = r the least n is 0, where ``floor``
+    gives 1.  For r >= 1/3 these are numpy's ``Generator.geometric(r) - 1``
+    draws, which read the same uniform and search for the same n.
+    """
     u = gen.random(count)
-    lev = np.ceil(np.log1p(-u * norm) / math.log1p(-r)).astype(np.int64) - 1
-    return np.clip(lev, 0, cap)
-
-
-def _log_norm(r, policy):
     if policy.is_truncated:
-        return math.log(-math.expm1((policy.max_level + 1) * math.log1p(-r)))
-    return 0.0
+        u *= _norm(r, policy)
+    levels = np.ceil(np.log1p(-u) / math.log1p(-r)).astype(np.int64) - 1
+    np.maximum(levels, 0, out=levels)  # in place: np.clip costs half as much again per level
+    if policy.is_truncated:
+        np.minimum(levels, policy.max_level, out=levels)
+    return levels
+
+
+def _norm(r, policy):
+    """The mass the policy keeps: 1, or 1 - (1-r)^(max_level+1) when truncated."""
+    if policy.is_truncated:
+        return -math.expm1((policy.max_level + 1) * math.log1p(-r))
+    return 1.0
 
 
 def _pmf(r, levels, policy):
     """P(N = level) under the policy, evaluated in log space."""
-    logp = math.log(r) + levels * math.log1p(-r) - _log_norm(r, policy)
+    logp = math.log(r) + levels * math.log1p(-r) - math.log(_norm(r, policy))
     return np.exp(logp)
 
 
@@ -344,12 +342,8 @@ def two_stage_muse(process: ProcessSpec, reward_spec: RewardSpec, r: float, stre
     samples in even-sized chunks of at most ``_MAX_GROUP``, and forms the
     antithetic difference around max(f(X_1), .).
     """
-    if process.horizon != 2:
-        raise ValueError(f"two-stage estimation needs horizon 2, got {process.horizon}")
-    if not 0.5 < r < 1.0:
-        raise ValueError("r must lie in (1/2, 1)")
+    ctx = _compile_context(process, reward_spec, RateSchedule((r,)), LevelPolicy())
     gen = as_generator(stream)
-    ctx = _Context(2, (r,), compile_stepper(process), compile_reward(reward_spec))
     level = sample_geometric_level(r, gen)
     x1 = ctx.step(1, None, 1, gen)
     anchor = float(ctx.rew(1, x1)[0])
@@ -417,8 +411,7 @@ def estimate_utility(
     stream and ``n_replicates`` and matches ``muse estimate`` at any
     worker count.
     """
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be a positive integer")
+    check_int(n_replicates, "n_replicates")
     task = MuseReplicateTask(process, reward_spec, schedule, policy)
     _, values, costs, manifest = run_replicated(task, n_replicates, stream, workers=1)
     return summarize(values, costs, wall_time=manifest.wall_time)

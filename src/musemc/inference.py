@@ -95,6 +95,13 @@ def check_interval_args(alpha: float, resamples: int | None = None, n: int = 2) 
         raise ValueError("resamples must be at least 100")
 
 
+def normal_quantile(alpha: float) -> float:
+    """z_{alpha/2} = Phi^{-1}(1 - alpha/2), a two-sided interval's half-width in standard errors."""
+    from scipy.special import ndtri  # deferred: scipy.special is most of the time `import musemc` takes
+
+    return float(ndtri(1.0 - alpha / 2.0))
+
+
 def clt_ci(summary: BatchSummary, alpha: float = 0.05) -> ConfidenceInterval:
     """Central-limit interval mean +/- z_{alpha/2} * std_error.
 
@@ -104,10 +111,7 @@ def clt_ci(summary: BatchSummary, alpha: float = 0.05) -> ConfidenceInterval:
     check_interval_args(alpha)
     if summary.n < 1:
         raise ValueError("summary must cover at least one replicate")
-    from scipy.special import ndtri  # deferred: scipy.special is most of the time `import musemc` takes
-
-    z = float(ndtri(1.0 - alpha / 2.0))
-    half = z * summary.std_error
+    half = normal_quantile(alpha) * summary.std_error
     return ConfidenceInterval(
         lo=summary.mean - half,
         hi=summary.mean + half,

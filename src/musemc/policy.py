@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import _MAX_GROUP, LevelPolicy, RateSchedule, _compile_context, _group_bounds, _run_batch
-from .inference import BatchSummary, summarize
+from .inference import BatchSummary, normal_quantile, summarize
 from .parallel import map_replicated
-from .processes import ProcessSpec, validate_history
+from .processes import ProcessSpec, check_int, validate_history
 from .rewards import RewardSpec
 from .streams import RandomStream, as_generator
 
@@ -47,8 +47,7 @@ class PolicyConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.inner_replicates < 1:
-            raise ValueError("inner_replicates must be a positive integer")
+        check_int(self.inner_replicates, "inner_replicates")
         if self.tolerance is not None and not self.tolerance >= 0.0:
             raise ValueError("tolerance must be nonnegative (or None for adaptive)")
         if not 0.0 < self.alpha < 1.0:
@@ -140,12 +139,7 @@ def _decide(states, stage, fx, config, gen, ctx):
             se[a:b] = values.std(axis=1, ddof=1) / math.sqrt(n)
         costs[a:b] = batch_costs.reshape(b - a, n).sum(axis=1)
         del parents, values, batch_costs  # freed before the next batch runs, so one batch is live at a time
-    if config.adaptive:
-        from scipy.special import ndtri  # deferred: scipy.special is most of the time `import musemc` takes
-
-        eps = float(ndtri(1.0 - config.alpha / 2.0)) * se
-    else:
-        eps = config.tolerance
+    eps = normal_quantile(config.alpha) * se if config.adaptive else config.tolerance
     stop = fx > y_bar - eps
     decisions = [
         StageDecision(stage, float(f), float(y), float(s), STOP if halt else CONTINUE)
@@ -180,8 +174,7 @@ def _run_episodes(process, reward_spec, config, episodes, seed, workers):
 
     Returns (outcomes, reward summary, manifest).
     """
-    if episodes < 1:
-        raise ValueError("episodes must be a positive integer")
+    check_int(episodes, "episodes")
     blocks, manifest = map_replicated(PolicyEpisodeTask(process, reward_spec, config), episodes, seed, workers=workers)
     outcomes = [o for block in blocks for o in block]
     rewards = np.array([o.realized_reward for o in outcomes], dtype=float)

@@ -66,10 +66,8 @@ class ProcessSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown process kind {self.kind!r}; expected one of {_KINDS}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        check_int(self.horizon, "horizon")
+        check_int(self.dimension, "dimension")
         if self.kind == GBM:
             self._validate_gbm()
         elif self.kind == USER_DISCRETE:
@@ -114,6 +112,12 @@ class ProcessSpec:
             if mat.shape != (m, m):
                 raise ValueError(f"transitions[{k}] must be a {m}x{m} matrix, got shape {mat.shape}")
             _check_stochastic(mat, f"transitions[{k}]")
+
+
+def check_int(value, name: str, low: int = 1) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low`` (a float or bool is not truncated)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_stochastic(rows: np.ndarray, label: str):
@@ -289,8 +293,7 @@ def sample_next(spec: ProcessSpec, history: TrajectoryHistory, count: int, strea
     Conditioning is on the full realized prefix; for the shipped kinds the
     law only depends on the last state and the stage.
     """
-    if count < 1:
-        raise ValueError("count must be a positive integer")
+    check_int(count, "count")
     validate_history(spec, history)
     k = history.stage
     if k >= spec.horizon:
@@ -337,8 +340,7 @@ def simulate_paths(spec: ProcessSpec, n_paths: int, stream) -> np.ndarray:
     Path ``i`` restricted to its first stages has the same law as a shorter
     simulation -- stages are drawn forward one at a time.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be a positive integer")
+    check_int(n_paths, "n_paths")
     gen = as_generator(stream)
     step = compile_stepper(spec)
     out = np.empty((n_paths, spec.horizon, spec.dimension))
@@ -355,12 +357,12 @@ def process_spec_from_dict(data: dict) -> ProcessSpec:
         raise ValueError("process config requires a 'kind' field")
     kind = _normalize_kind(data["kind"])
     if kind == GAUSSIAN_IID:
-        return gaussian_iid(horizon=int(data["horizon"]), dimension=int(data.get("dimension", 1)))
+        return gaussian_iid(horizon=data["horizon"], dimension=data.get("dimension", 1))
     if kind == GBM:
         times = data["times"]
         return gbm(
-            dimension=int(data.get("dimension", 1)),
-            horizon=int(data.get("horizon", len(times))),
+            dimension=data.get("dimension", 1),
+            horizon=data.get("horizon", len(times)),
             gamma=float(data.get("gamma", 0.0)),
             div_yield=float(data.get("div_yield", 0.0)),
             sigma=float(data["sigma"]),

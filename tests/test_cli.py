@@ -190,6 +190,30 @@ def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsy
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["estimate"], {"kind": "gaussian", "horizon": 2.5}, "horizon must be an integer >= 1, got 2.5"),
+        (["stop"], {"kind": "gaussian", "horizon": 3, "dimension": 1.9}, "dimension must be an integer >= 1, got 1.9"),
+        (["gaussian-suite", "--horizons", "2,3.5"], None, "--horizons must be a comma-separated list of integers >= 2, got '2,3.5'"),
+    ],
+)
+def test_fractional_integer_fields_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, config, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replicate ran before the integer fields were checked")
+
+    monkeypatch.setattr(cli, "run_replicated", refuse)
+    monkeypatch.setattr(cli, "_run_episodes", refuse)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"process": config}))
+        argv = argv + ["--config", path]
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["estimate", "tune-rate", "gaussian-suite", "bermudan", "stop"])
 def test_unusable_out_dir_fails_before_any_replicate_runs(tmp_path, monkeypatch, capsys, command):
     def refuse(*args, **kwargs):
@@ -455,7 +479,7 @@ def test_stop_from_config(tmp_path):
 
 
 def test_import_leaves_scipy_special_unloaded():
-    """Importing the package does not load scipy.special; its three call sites import it on first use."""
+    """Importing the package does not load scipy.special; its two call sites import it on first use."""
     src = os.path.dirname(os.path.dirname(musemc.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     check = "import sys, musemc; sys.exit('scipy.special' in sys.modules)"

@@ -111,12 +111,14 @@ def test_level_policy_modes():
     assert not LevelPolicy().is_truncated
     assert LevelPolicy.truncated(3).is_truncated
     assert LevelPolicy.truncated(0).max_level == 0
-    with pytest.raises(ValueError):
-        LevelPolicy.truncated(-1)
-    with pytest.raises(ValueError):
-        LevelPolicy(mode="capped")
-    with pytest.raises(ValueError):
-        LevelPolicy(max_level=3)  # cap without truncation
+    assert LevelPolicy(max_level=3) == LevelPolicy.truncated(3)
+    assert LevelPolicy() == LevelPolicy(max_level=None)
+    # a negative, float or bool cap raises instead of running as another cap
+    for cap in (-1, 2.5, 3.0, True, False):
+        with pytest.raises(ValueError, match="max_level"):
+            LevelPolicy.truncated(cap)
+        with pytest.raises(ValueError, match="max_level"):
+            LevelPolicy(max_level=cap)
 
 
 def test_truncated_pmf_renormalizes():
@@ -153,8 +155,50 @@ def test_geometric_level_distribution():
 def test_geometric_level_powers_of_two_mean():
     # E[2^N] = r/(2r-1) = 3 at r = 0.6; heavy-tailed, so the tolerance is 5%
     gen = stream(0, seed=5).generator
-    n = gen.geometric(0.6, size=1_000_000) - 1
+    n = est._sample_levels(gen, 0.6, 1_000_000, LevelPolicy())
     assert abs((2.0**n).mean() - 3.0) < 0.15
+
+
+@pytest.mark.parametrize("r", [0.51, 0.6, 0.75, 0.9, 0.99])
+def test_batch_levels_are_numpys_geometric_draws(r):
+    """The inverse CDF reads one uniform per level, as numpy's search branch
+    does for r >= 1/3, and returns the same least n: the draws agree bit for
+    bit and both generators end at the same position."""
+    ours, theirs = stream(7, seed=31).generator, stream(7, seed=31).generator
+    levels = est._sample_levels(ours, r, 1_000_000, LevelPolicy())
+    want = theirs.geometric(r, size=1_000_000) - 1
+    assert levels.dtype == np.int64
+    assert np.array_equal(levels, want)
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("r", [0.55, 0.6, 0.9])
+def test_scalar_levels_are_numpys_geometric_draws(r):
+    ours, theirs = stream(8, seed=31).generator, stream(8, seed=31).generator
+    levels = [sample_geometric_level(r, ours) for _ in range(100_000)]
+    want = [int(theirs.geometric(r)) - 1 for _ in range(100_000)]
+    assert levels == want
+    assert ours.random() == theirs.random()
+
+
+def test_level_draws_at_the_cdf_ends(monkeypatch):
+    """u = r draws level 0 (``ceil - 1``; ``floor`` would give 1), u = 0 draws
+    0, not -1, and a truncated draw never passes the cap."""
+
+    class Fixed:
+        def __init__(self, u):
+            self.u = np.asarray(u, dtype=float)
+
+        def random(self, count=None):
+            return self.u.copy() if count is not None else float(self.u[0])
+
+    r = 0.6
+    uniforms = [0.0, r, 0.5, 1.0 - 2.0**-53]
+    levels = est._sample_levels(Fixed(uniforms), r, len(uniforms), LevelPolicy())
+    assert levels.tolist() == [0, 0, 0, 40]
+    monkeypatch.setattr(est, "as_generator", lambda gen: gen)
+    assert [sample_geometric_level(r, Fixed([u])) for u in uniforms] == levels.tolist()
+    assert est._sample_levels(Fixed(uniforms), r, len(uniforms), LevelPolicy.truncated(2)).tolist() == [0, 0, 0, 2]
 
 
 def test_sample_geometric_level_domain():

@@ -10,6 +10,7 @@ from musemc.inference import (
     CLT,
     bootstrap_ci,
     clt_ci,
+    normal_quantile,
     self_normalized_variance,
     summarize,
     summary_to_json,
@@ -87,6 +88,16 @@ def test_clt_ci_hand_example():
     assert abs(ci.hi - (2.5 + z * s.std_error)) < 1e-12
     assert abs(ci.lo - 1.2348) < 5e-5
     assert abs(ci.hi - 3.7652) < 5e-5
+
+
+def test_normal_quantile_is_the_clt_half_width():
+    from scipy.special import ndtri
+
+    assert abs(normal_quantile(0.05) - 1.9599639845400545) < 1e-15
+    s = summarize([1.0, 2.0, 4.0, 8.0], [1, 1, 1, 1])
+    for alpha in (0.01, 0.05, 0.32, 1.0):
+        assert normal_quantile(alpha) == float(ndtri(1.0 - alpha / 2.0))
+        assert clt_ci(s, alpha=alpha).hi == s.mean + normal_quantile(alpha) * s.std_error
 
 
 def test_clt_ci_zero_variance():

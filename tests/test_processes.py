@@ -285,6 +285,21 @@ def test_process_spec_from_dict_errors():
         process_spec_from_dict({"kind": "poisson", "horizon": 2})
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"kind": "gaussian", "horizon": 2.5}, "horizon"),
+        ({"kind": "gaussian", "horizon": 3, "dimension": 1.9}, "dimension"),
+        ({"kind": "gaussian", "horizon": True}, "horizon"),
+        ({"kind": "gbm", "sigma": 0.2, "spot": 100, "times": [1, 2], "horizon": 2.0}, "horizon"),
+        ({"kind": "gbm", "sigma": 0.2, "spot": 100, "times": [1, 2], "dimension": 2.5}, "dimension"),
+    ],
+)
+def test_fractional_integer_fields_are_refused_not_truncated(data, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got"):
+        process_spec_from_dict(data)
+
+
 def test_load_process_spec_roundtrip(tmp_path):
     payload = {"kind": "gbm", "sigma": 0.2, "spot": 90.0, "gamma": 0.03, "times": [0.5, 1.0]}
     path = tmp_path / "process.json"

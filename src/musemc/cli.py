@@ -11,7 +11,11 @@ policy).  Every command honors ``--seed``, ``--workers`` (overridden by the
 replicate runs, so an unusable directory fails at once.  The commands share
 one pipeline: flags become an instance and a rate schedule
 (``_resolve_instance``, ``_resolve_schedule``), and ``_run`` runs and
-summarizes the replicates.
+summarizes the replicates.  ``bermudan`` is ``estimate``'s handler with GBM
+and basket-put defaults and a CLT interval.  Every harness run stores
+``_record`` -- the command, the resolved process and reward, the rates and
+the level cap -- as its manifest's ``config``, and every CSV goes through
+``_write_csv``.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .baselines import TreeSpec, gaussian_dp_oracle, mc1_estimate, mc2_estimate
 from .estimator import LevelPolicy, MuseReplicateTask, RateSchedule, theoretical_rate_schedule
-from .inference import bootstrap_ci, check_interval_args, clt_ci, summarize, summary_to_json
+from .inference import bootstrap_ci, check_interval_args, clt_ci, self_normalized_variance, summarize, summary_to_json
 from .parallel import run_replicated, resolve_workers
 from .policy import PolicyConfig, _run_episodes, run_stopping_policy, write_episode_log  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
 from .processes import gaussian_iid, gbm, process_spec_from_dict
@@ -100,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--geo-rate", dest="rates", default="0.6", help="geometric rate(s) for the level draws")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(handler=_cmd_bermudan, process="gbm", reward=None, delta_mom=None)
+    p.set_defaults(handler=_cmd_estimate, process="gbm", reward=None, delta_mom=None,
+                   config=None, truncate_level=None, ci="clt", bootstrap_resamples=None)
 
     p = sub.add_parser("stop", parents=[common], help="run the estimator-driven stopping policy")
     _add_config_flag(p)
@@ -199,12 +205,11 @@ def _out_path(args, name):
     return os.path.join(args.out_dir, name)
 
 
-def _write_replicates_csv(path, samples):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["replicate_id", "value", "top_level", "cost"])
-        columns = (samples.values.tolist(), samples.top_levels.tolist(), samples.costs.tolist())
-        writer.writerows([i, repr(v), level, cost] for i, (v, level, cost) in enumerate(zip(*columns)))
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(path, payload):
@@ -213,25 +218,40 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _run(args, process, reward_spec, schedule, policy=LevelPolicy(), config=None):
+def _record(args, process, reward_spec, schedule, policy):
+    """The run's manifest ``config``: the command and the instance it resolved to."""
+    return {
+        "command": args.command,
+        "process": asdict(process),
+        "reward": asdict(reward_spec),
+        "rates": list(schedule.rates),
+        "max_level": policy.max_level,
+    }
+
+
+def _run(args, process, reward_spec, schedule, policy=LevelPolicy()):
     """Run ``args.replicates`` replicates of one instance; returns (samples, summary, manifest)."""
     task = MuseReplicateTask(process, reward_spec, schedule, policy)
-    samples, values, costs, manifest = run_replicated(
-        task, args.replicates, args.seed, workers=args.workers, config=config
-    )
+    record = _record(args, process, reward_spec, schedule, policy)
+    samples, values, costs, manifest = run_replicated(task, args.replicates, args.seed, workers=args.workers, config=record)
     return samples, summarize(values, costs, wall_time=manifest.wall_time), manifest
 
 
-def _estimate_and_write(args, process, reward_spec, schedule, policy, config_snapshot):
-    resamples = args.bootstrap_resamples if getattr(args, "ci", "clt") == "bootstrap" else None
+def _cmd_estimate(args) -> int:
+    """``estimate``, and ``bermudan`` through its parser defaults."""
+    process, reward_spec = _resolve_instance(args, _load_config(args))
+    schedule = _resolve_schedule(args, process.horizon)
+    policy = LevelPolicy() if args.truncate_level is None else LevelPolicy.truncated(args.truncate_level)
+    resamples = args.bootstrap_resamples if args.ci == "bootstrap" else None
     check_interval_args(args.alpha, resamples, args.replicates)
-    samples, summary, manifest = _run(args, process, reward_spec, schedule, policy, config_snapshot)
+    samples, summary, manifest = _run(args, process, reward_spec, schedule, policy)
     if resamples is not None:
         ci = bootstrap_ci(samples.values, alpha=args.alpha, resamples=resamples,
                           stream=derive_substream(args.seed, (_BOOTSTRAP_KEY,)))
     else:
         ci = clt_ci(summary, alpha=args.alpha)
-    _write_replicates_csv(_out_path(args, "replicates.csv"), samples)
+    rows = zip(range(summary.n), map(repr, samples.values.tolist()), samples.top_levels.tolist(), samples.costs.tolist())
+    _write_csv(_out_path(args, "replicates.csv"), ["replicate_id", "value", "top_level", "cost"], rows)
     _write_json(_out_path(args, "summary.json"), summary_to_json(summary, ci))
     _write_json(_out_path(args, "manifest.json"), manifest.to_json())
     print(
@@ -239,24 +259,6 @@ def _estimate_and_write(args, process, reward_spec, schedule, policy, config_sna
         f"{100 * ci.level:.0f}% CI [{ci.lo:.6f}, {ci.hi:.6f}]  cost={summary.total_cost}  "
         f"wall={summary.wall_time:.2f}s  -> {args.out_dir}"
     )
-    return summary, ci
-
-
-def _cmd_estimate(args) -> int:
-    config = _load_config(args)
-    process, reward_spec = _resolve_instance(args, config)
-    schedule = _resolve_schedule(args, process.horizon)
-    policy = LevelPolicy() if args.truncate_level is None else LevelPolicy.truncated(args.truncate_level)
-    snapshot = {
-        "command": "estimate",
-        "process_kind": process.kind,
-        "horizon": process.horizon,
-        "dimension": process.dimension,
-        "rates": list(schedule.rates),
-        "replicates": args.replicates,
-        "level_policy": "truncated" if policy.is_truncated else "untruncated",
-    }
-    _estimate_and_write(args, process, reward_spec, schedule, policy, snapshot)
     return 0
 
 
@@ -280,15 +282,12 @@ def _cmd_tune_rate(args) -> int:
     manifests = []
     for r in grid:
         samples, summary, manifest = _run(args, process, reward_spec, RateSchedule.constant(float(r), args.horizon))
-        mean_cost = float(samples.costs.mean())
-        rows.append((float(r), mean_cost, summary.variance, mean_cost * summary.variance))
+        merit = self_normalized_variance(samples.values, samples.costs)
+        rows.append((float(r), float(samples.costs.mean()), summary.variance, merit))
         manifests.append(manifest.to_json())
     path = _out_path(args, "rate_grid.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "mean_cost", "variance", "self_normalized_variance"])
-        for row in rows:
-            writer.writerow([f"{row[0]:.6f}", repr(row[1]), repr(row[2]), repr(row[3])])
+    _write_csv(path, ["r", "mean_cost", "variance", "self_normalized_variance"],
+               ([f"{r:.6f}", repr(cost), repr(variance), repr(merit)] for r, cost, variance, merit in rows))
     _write_json(_out_path(args, "manifest.json"), {"command": "tune-rate", "points": manifests})
     best = min(rows, key=lambda row: row[3])
     print(f"minimum self-normalized variance {best[3]:.4f} at r={best[0]:.3f}  -> {path}")
@@ -338,32 +337,9 @@ def _cmd_gaussian_suite(args) -> int:
             f"mc1={mc1:.6f} (bias {mc1 - oracle:+.4f})  mc2={mc2:.6f} (bias {mc2 - oracle:+.4f})"
         )
     path = _out_path(args, "gaussian_suite.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (v if isinstance(v, int) else repr(float(v))) for k, v in row.items()})
+    _write_csv(path, list(rows[0]), ([v if isinstance(v, int) else repr(float(v)) for v in row.values()] for row in rows))
     _write_json(_out_path(args, "manifest.json"), {"command": "gaussian-suite", "points": manifests})
     print(f"-> {path}")
-    return 0
-
-
-def _cmd_bermudan(args) -> int:
-    process, reward_spec = _resolve_instance(args, {})
-    schedule = _resolve_schedule(args, process.horizon)
-    snapshot = {
-        "command": "bermudan",
-        "dim": args.dimension,
-        "strike": args.strike,
-        "spot": args.spot,
-        "sigma": args.sigma,
-        "rate": args.gamma,
-        "div": args.div,
-        "dates": list(process.times),
-        "rates": list(schedule.rates),
-        "replicates": args.replicates,
-    }
-    _estimate_and_write(args, process, reward_spec, schedule, LevelPolicy(), snapshot)
     return 0
 
 
@@ -377,8 +353,9 @@ def _cmd_stop(args) -> int:
         tolerance=args.tolerance,
         alpha=args.alpha,
     )
+    record = _record(args, process, reward_spec, schedule, LevelPolicy())
     outcomes, reward_summary, manifest = _run_episodes(
-        process, reward_spec, policy_config, args.episodes, args.seed, args.workers
+        process, reward_spec, policy_config, args.episodes, args.seed, args.workers, record
     )
     write_episode_log(_out_path(args, "episodes.csv"), outcomes)
     taus = np.array([o.tau for o in outcomes], dtype=float)

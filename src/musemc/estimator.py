@@ -29,7 +29,7 @@ import numpy as np
 
 from .inference import BatchSummary, summarize
 from .parallel import run_replicated
-from .processes import ProcessSpec, TrajectoryHistory, check_int, compile_stepper, validate_history
+from .processes import ProcessSpec, TrajectoryHistory, _history_parent, check_int, compile_stepper
 from .rewards import RewardSpec, compile_reward
 from .streams import as_generator
 
@@ -380,18 +380,9 @@ def multi_stage_muse(
     Unbiased under the untruncated level policy; under a truncated policy the
     sample is flagged ``biased``.
     """
-    if history.stage != stage:
-        raise ValueError(f"history is at stage {history.stage}, expected {stage}")
-    validate_history(process, history)
-    if not 0 <= stage <= process.horizon - 1:
-        raise ValueError(f"stage must lie in [0, {process.horizon - 1}], got {stage}")
+    parents = _history_parent(process, history, stage)
     ctx = _compile_context(process, reward_spec, schedule, policy)
-    gen = as_generator(stream)
-    if stage == 0:
-        parents = None
-    else:
-        parents = np.asarray(history.last(), dtype=float)[None, :]
-    v, c, lv = _run_batch(stage, parents, 1, gen, ctx)
+    v, c, lv = _run_batch(stage, parents, 1, as_generator(stream), ctx)
     return EstimatorSample(value=float(v[0]), top_level=int(lv[0]), cost=int(c[0]), biased=policy.is_truncated)
 
 

@@ -21,7 +21,7 @@ import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
-from .streams import as_stream
+from .streams import as_stream, check_int
 
 BLOCK_SIZE = 256  # items per keyed block
 DEFAULT_CHUNK = 64  # cap on the blocks in a chunk
@@ -68,7 +68,10 @@ class RunManifest:
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: the MUSE_WORKERS environment variable wins, then the
-    explicit request, then the machine's CPU count."""
+    explicit request, then the machine's CPU count.  An explicit request
+    must be an integer >= 0 (0 means one worker), whatever the environment."""
+    if requested is not None:
+        check_int(requested, "workers", low=0)
     env = os.environ.get(WORKERS_ENV)
     if env is not None and env.strip():
         if not env.strip().lstrip("+-").isdigit() or int(env) < 1:
@@ -114,9 +117,12 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
     if n_replicates < 1:
         raise ValueError("n_replicates must be a positive integer")
     root = as_stream(seed)
-    workers = resolve_workers() if workers is None else int(workers)
-    if workers < 1:
-        raise ValueError("workers must be a positive integer")
+    if workers is None:
+        workers = resolve_workers()
+    try:
+        check_int(workers, "workers")
+    except ValueError:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}") from None
     # chunks of whole blocks: small enough that workers stay busy, large
     # enough to amortize dispatch
     blocks = -(-n_replicates // BLOCK_SIZE)

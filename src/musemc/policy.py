@@ -24,7 +24,7 @@ import numpy as np
 from .estimator import _MAX_GROUP, LevelPolicy, RateSchedule, _compile_context, _group_bounds, _run_batch
 from .inference import BatchSummary, normal_quantile, summarize
 from .parallel import map_replicated
-from .processes import ProcessSpec, check_int, validate_history
+from .processes import ProcessSpec, _history_parent, check_int
 from .rewards import RewardSpec
 from .streams import RandomStream, as_generator
 
@@ -99,13 +99,8 @@ class PolicyOutcome:
 
 def decide_stop(history, stage: int, fx: float, process: ProcessSpec, reward_spec: RewardSpec, config: PolicyConfig, stream) -> tuple[bool, StageDecision]:
     """One decision: estimate the continuation value and compare against fx."""
-    if history.stage != stage:
-        raise ValueError(f"history is at stage {history.stage}, expected {stage}")
-    validate_history(process, history)
-    if not 1 <= stage <= process.horizon - 1:
-        raise ValueError(f"decisions happen at stages 1..{process.horizon - 1}, got {stage}")
+    last = _history_parent(process, history, stage, first=1)
     ctx = _compile_context(process, reward_spec, config.schedule, LevelPolicy())
-    last = np.asarray(history.last(), dtype=float)[None, :]
     stop, decisions, _ = _decide(last, stage, np.array([float(fx)]), config, as_generator(stream), ctx)
     return bool(stop[0]), decisions[0]
 
@@ -169,13 +164,14 @@ def run_stopping_policy(process: ProcessSpec, reward_spec: RewardSpec, config: P
     return outcomes, summary
 
 
-def _run_episodes(process, reward_spec, config, episodes, seed, workers):
+def _run_episodes(process, reward_spec, config, episodes, seed, workers, record=None):
     """The harness run behind ``run_stopping_policy`` and ``muse stop``.
 
-    Returns (outcomes, reward summary, manifest).
+    ``record`` becomes the manifest's ``config``.  Returns (outcomes, reward
+    summary, manifest).
     """
     check_int(episodes, "episodes")
-    blocks, manifest = map_replicated(PolicyEpisodeTask(process, reward_spec, config), episodes, seed, workers=workers)
+    blocks, manifest = map_replicated(PolicyEpisodeTask(process, reward_spec, config), episodes, seed, workers=workers, config=record)
     outcomes = [o for block in blocks for o in block]
     rewards = np.array([o.realized_reward for o in outcomes], dtype=float)
     costs = np.array([o.inner_cost for o in outcomes], dtype=np.int64)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import as_generator
+from .streams import as_generator, check_int
 
 GAUSSIAN_IID = "GaussianIID"
 GBM = "GBM"
@@ -114,12 +114,6 @@ class ProcessSpec:
             _check_stochastic(mat, f"transitions[{k}]")
 
 
-def check_int(value, name: str, low: int = 1) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low`` (a float or bool is not truncated)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 def _check_stochastic(rows: np.ndarray, label: str):
     if not np.isfinite(rows).all():
         raise ValueError(f"{label} must be finite")
@@ -204,6 +198,19 @@ def validate_history(spec: ProcessSpec, history: TrajectoryHistory):
             raise ValueError(f"history state at stage {s} has shape {arr.shape}, expected ({spec.dimension},)")
         if not np.isfinite(arr).all():
             raise ValueError(f"history state at stage {s} is not finite")
+
+
+def _history_parent(spec: ProcessSpec, history: TrajectoryHistory, stage: int, first: int = 0):
+    """Check that ``history`` is a valid stage-``stage`` prefix with ``first <= stage < horizon``.
+
+    Returns its last state as a ``(1, dimension)`` row, or ``None`` at stage 0.
+    """
+    if history.stage != stage:
+        raise ValueError(f"history is at stage {history.stage}, expected {stage}")
+    validate_history(spec, history)
+    if not first <= stage <= spec.horizon - 1:
+        raise ValueError(f"stage must lie in [{first}, {spec.horizon - 1}], got {stage}")
+    return None if stage == 0 else np.asarray(history.last(), dtype=float)[None, :]
 
 
 def compile_stepper(spec: ProcessSpec):
@@ -294,17 +301,9 @@ def sample_next(spec: ProcessSpec, history: TrajectoryHistory, count: int, strea
     law only depends on the last state and the stage.
     """
     check_int(count, "count")
-    validate_history(spec, history)
-    k = history.stage
-    if k >= spec.horizon:
-        raise ValueError(f"cannot sample past the horizon: history is at stage {k} of {spec.horizon}")
-    gen = as_generator(stream)
-    step = compile_stepper(spec)
-    if k == 0:
-        return step(1, None, count, gen)
-    last = np.asarray(history.last(), dtype=float)
-    parents = np.broadcast_to(last, (count, spec.dimension))
-    return step(k + 1, parents, count, gen)
+    parent = _history_parent(spec, history, history.stage)
+    parents = None if parent is None else np.broadcast_to(parent, (count, spec.dimension))
+    return compile_stepper(spec)(history.stage + 1, parents, count, as_generator(stream))
 
 
 def exact_conditional_mean(spec: ProcessSpec, history: TrajectoryHistory, payoff_values) -> float:
@@ -314,23 +313,18 @@ def exact_conditional_mean(spec: ProcessSpec, history: TrajectoryHistory, payoff
     """
     if spec.kind != USER_DISCRETE:
         raise ValueError("exact conditional means are only available for UserDiscrete processes")
-    validate_history(spec, history)
-    k = history.stage
-    if k >= spec.horizon:
-        raise ValueError(f"cannot condition past the horizon: history is at stage {k} of {spec.horizon}")
+    parent = _history_parent(spec, history, history.stage)
     payoff = np.asarray(payoff_values, dtype=float)
     m = len(spec.support)
     if payoff.shape != (m,):
         raise ValueError(f"payoff_values must align with the support ({m} entries)")
-    if k == 0:
+    if parent is None:
         row = np.asarray(spec.transitions[0], dtype=float)
     else:
-        support = np.asarray(spec.support, dtype=float)
-        last = float(np.asarray(history.last(), dtype=float)[0])
-        matches = np.nonzero(support == last)[0]
+        matches = np.nonzero(np.asarray(spec.support, dtype=float) == parent[0, 0])[0]
         if matches.size == 0:
             raise ValueError("state value not in the process support")
-        row = np.asarray(spec.transitions[k], dtype=float)[matches[0]]
+        row = np.asarray(spec.transitions[history.stage], dtype=float)[matches[0]]
     return float(row @ payoff)
 
 

@@ -17,20 +17,29 @@ import numpy as np
 __all__ = ["RandomStream", "as_stream", "derive_substream"]
 
 
+def check_int(value, name: str, low: int = 1) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low`` (a float or bool is not truncated)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 class RandomStream:
     """A keyed random stream: ``(master_seed, path) -> generator``.
 
     Distinct paths give statistically independent streams.  Deriving a
     child appends indices to the path, so derivation composes: deriving
     ``a`` and then ``b`` from the result is the same stream as deriving
-    ``(a, b)`` directly from the root.
+    ``(a, b)`` directly from the root.  The seed and every path key are
+    nonnegative integers; a float or bool raises ``ValueError`` instead of
+    being truncated.
     """
 
     __slots__ = ("master_seed", "path", "_generator")
 
     def __init__(self, master_seed: int, path: tuple[int, ...] = ()):
-        if master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
+        check_int(master_seed, "master_seed", low=0)
+        for p in path:
+            check_int(p, "path key", low=0)
         self.master_seed = int(master_seed)
         self.path = tuple(int(p) for p in path)
         self._generator = None
@@ -67,7 +76,7 @@ def as_stream(seed) -> RandomStream:
     if isinstance(seed, RandomStream):
         return seed
     if isinstance(seed, (int, np.integer)):
-        return RandomStream(int(seed))
+        return RandomStream(seed)
     raise TypeError(f"expected an int seed or a RandomStream, got {type(seed).__name__}")
 
 

@@ -25,6 +25,17 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def summary_without_wall_time(out):
+    """summary.json without its ``wall_time_s`` key, re-serialized as the CLI writes it."""
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["wall_time_s"]
+    return json.dumps(summary, indent=2, sort_keys=True)
+
+
 # ------------------------------------------------------------------ estimate
 
 
@@ -278,6 +289,14 @@ def test_tune_rate_grid_csv(tmp_path):
     assert len(manifest["points"]) == 3
 
 
+def test_tune_rate_writes_pinned_bytes(tmp_path):
+    """`muse tune-rate` at a fixed seed writes this exact grid: cost, variance and their product."""
+    code = run(["tune-rate", "--horizon", 2, "--r-min", 0.55, "--r-max", 0.60, "--step", 0.025,
+                "--replicates", 1500, "--seed", 21, "--out-dir", tmp_path])
+    assert code == 0
+    assert sha256(tmp_path / "rate_grid.csv") == "b3693663585fd0f1814aa86c054b25cb48181657ee66aac1aab44abeb58a0bb7"
+
+
 def test_tune_rate_default_grid_stays_inside_its_bounds():
     args = _build_parser().parse_args(["tune-rate"])
     grid = _rate_grid(args.r_min, args.r_max, args.step)
@@ -314,6 +333,14 @@ def test_gaussian_suite_csv(tmp_path):
         assert float(r[8]) > 0  # mc1 sits above the oracle at these path counts
 
 
+def test_gaussian_suite_writes_pinned_bytes(tmp_path):
+    """`muse gaussian-suite` at a fixed seed writes this exact table: MUSE, oracle and both baselines."""
+    code = run(["gaussian-suite", "--horizons", "2,3", "--replicates", 1500, "--mc1-paths", 1000,
+                "--trees", 30, "--arity", 4, "--seed", 22, "--out-dir", tmp_path])
+    assert code == 0
+    assert sha256(tmp_path / "gaussian_suite.csv") == "b97af6394b94e1c8fa5c2433c35c1fe23a865c6928233dedb6bc152a35fe4d5f"
+
+
 def test_gaussian_suite_needs_valid_horizons(tmp_path):
     assert run(["gaussian-suite", "--horizons", "1,3", "--out-dir", tmp_path]) == 1
     assert run(["gaussian-suite", "--horizons", "", "--out-dir", tmp_path]) == 1
@@ -331,8 +358,32 @@ def test_bermudan_runs_and_writes(tmp_path):
     assert summary["n"] == 300
     assert math.isfinite(summary["mean"])
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["config"]["dim"] == 2
-    assert manifest["config"]["dates"] == [0.0, 1.0, 2.0]
+    assert manifest["config"]["process"]["dimension"] == 2
+    assert manifest["config"]["process"]["times"] == [0.0, 1.0, 2.0]
+
+
+def test_bermudan_writes_pinned_bytes(tmp_path):
+    """`muse bermudan` at a fixed seed writes these exact replicates and summary (without wall time)."""
+    code = run(["bermudan", "--dim", 3, "--dates", "0,0.5,1", "--replicates", 1500, "--seed", 23,
+                "--workers", 2, "--out-dir", tmp_path])
+    assert code == 0
+    got = (sha256(tmp_path / "replicates.csv"),
+           hashlib.sha256(summary_without_wall_time(tmp_path).encode()).hexdigest())
+    assert got == ("aa43f35ff11034e1794aed8cf81aa79d2124cd1b4e6b4f741ad73994a54f3d0d",
+                   "d91c28105a7fc74b955b55a0e07052cb2a6018f25175b38ac380ed5d3893e838")
+
+
+def test_bermudan_is_estimate_with_gbm_defaults(tmp_path):
+    """`bermudan` runs `estimate`'s pipeline: a GBM basket put at spot = strike = 100, sigma 0.2, rate 0.05."""
+    a, b = tmp_path / "bermudan", tmp_path / "estimate"
+    assert run(["bermudan", "--dim", 2, "--dates", "0,1,2", "--replicates", 600, "--seed", 6, "--out-dir", a]) == 0
+    assert run(["estimate", "--process", "gbm", "--dimension", 2, "--dates", "0,1,2", "--replicates", 600,
+                "--seed", 6, "--out-dir", b]) == 0
+    assert (a / "replicates.csv").read_bytes() == (b / "replicates.csv").read_bytes()
+    assert summary_without_wall_time(a) == summary_without_wall_time(b)
+    configs = [json.loads((out / "manifest.json").read_text())["config"] for out in (a, b)]
+    assert [c.pop("command") for c in configs] == ["bermudan", "estimate"]
+    assert configs[0] == configs[1]
 
 
 # -------------------------------------------------------------------- stop
@@ -446,11 +497,9 @@ def test_estimate_writes_pinned_bytes(tmp_path, flags, digests):
     the CLI writes it, so every other value is pinned bit for bit.
     """
     assert run(["estimate", *flags, "--out-dir", tmp_path]) == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    del summary["wall_time_s"]
     got = (
-        hashlib.sha256((tmp_path / "replicates.csv").read_bytes()).hexdigest(),
-        hashlib.sha256(json.dumps(summary, indent=2, sort_keys=True).encode()).hexdigest(),
+        sha256(tmp_path / "replicates.csv"),
+        hashlib.sha256(summary_without_wall_time(tmp_path).encode()).hexdigest(),
     )
     assert got == digests
 
@@ -484,6 +533,32 @@ def test_import_leaves_scipy_special_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     check = "import sys, musemc; sys.exit('scipy.special' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--horizon", 3, "--truncate-level", 2, "--replicates", 20],
+        ["tune-rate", "--horizon", 2, "--r-min", 0.6, "--r-max", 0.61, "--step", 0.01, "--replicates", 20],
+        ["gaussian-suite", "--horizons", "2,3", "--replicates", 20, "--mc1-paths", 20, "--trees", 2],
+        ["bermudan", "--dim", 2, "--dates", "0,1", "--replicates", 20],
+        ["stop", "--horizon", 2, "--episodes", 3, "--inner-replicates", 10],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_records_its_instance(tmp_path, argv):
+    """Each harness run's manifest ``config`` holds the command and the resolved instance."""
+    assert run(argv + ["--out-dir", tmp_path]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    configs = [point["config"] for point in manifest["points"]] if "points" in manifest else [manifest["config"]]
+    assert len(configs) == (2 if argv[0] in ("tune-rate", "gaussian-suite") else 1)
+    for config in configs:
+        assert set(config) == {"command", "process", "reward", "rates", "max_level"}
+        assert config["command"] == argv[0]
+        assert len(config["rates"]) == config["process"]["horizon"] - 1
+    assert configs[-1]["max_level"] == (2 if argv[0] == "estimate" else None)
+    assert configs[-1]["process"]["kind"] == ("GBM" if argv[0] == "bermudan" else "GaussianIID")
+    assert configs[-1]["reward"]["kind"] == ("BasketPut" if argv[0] == "bermudan" else "Identity")
 
 
 def test_workers_env_overrides_flag(tmp_path, monkeypatch):

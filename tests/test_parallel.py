@@ -132,6 +132,21 @@ def test_workers_env_wins(monkeypatch):
             resolve_workers(2)
 
 
+def test_fractional_worker_counts_are_refused_not_truncated(monkeypatch):
+    monkeypatch.delenv("MUSE_WORKERS", raising=False)
+    for bad in (2.5, 1.0, True, -1):
+        with pytest.raises(ValueError, match="workers must be an integer >= 0"):
+            resolve_workers(bad)
+    monkeypatch.setenv("MUSE_WORKERS", "3")  # a bad request fails even where the environment wins
+    with pytest.raises(ValueError, match="workers must be an integer >= 0"):
+        resolve_workers(2.5)
+    for bad in (1.7, 2.0, True):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            map_replicated(EchoTask(), 5, seed=0, workers=bad)
+    results, manifest = map_replicated(EchoTask(), 5, seed=0, workers=np.int64(1))
+    assert manifest.workers == 1 and len(results[0]) == 5
+
+
 def test_fail_fast_reports_the_replicate_index():
     with pytest.raises(ReplicateError) as err:
         map_replicated(FailAt(BLOCK_SIZE + 13), 2 * BLOCK_SIZE, seed=0, workers=1)

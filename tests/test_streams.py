@@ -49,6 +49,24 @@ def test_negative_master_seed_rejected():
         RandomStream(-1)
 
 
+def test_float_and_bool_keys_are_refused_not_truncated():
+    for make in (
+        lambda: RandomStream(2.5),
+        lambda: RandomStream(True),
+        lambda: RandomStream(7, (1, -1)),
+        lambda: derive_substream(7, (1.9,)),
+        lambda: RandomStream(7).child(1.9),
+        lambda: RandomStream(7).child(False),
+    ):
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            make()
+    with pytest.raises(ValueError, match="master_seed"):
+        as_stream(True)
+    stream = RandomStream(np.int64(7), (np.int32(1),)).child(np.uint8(2))
+    assert (stream.master_seed, stream.path) == (7, (1, 2))
+    assert all(type(key) is int for key in (stream.master_seed, *stream.path))
+
+
 def test_as_generator_accepts_all_forms():
     from_stream = as_generator(RandomStream(9))
     from_int = as_generator(9)

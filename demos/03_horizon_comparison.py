@@ -49,9 +49,9 @@ def run() -> None:
             n_replicates=N_REPLICATES,
             stream=RandomStream(300 + horizon),
         )
-        mc1 = mc1_estimate(process, reward, horizon, MC1_PATHS, derive_substream(301, (horizon,)))
+        mc1 = mc1_estimate(process, reward, MC1_PATHS, derive_substream(301, (horizon,)))
         mc2 = mc2_estimate(
-            process, reward, TreeSpec(arity=ARITY, depth=horizon, forest_size=TREES),
+            process, reward, TreeSpec(arity=ARITY, forest_size=TREES),
             derive_substream(302, (horizon,)),
         )
         z = (summary.mean - oracle) / summary.std_error

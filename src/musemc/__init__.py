@@ -13,7 +13,6 @@ from .baselines import TreeSpec, discrete_dp_oracle, gaussian_dp_oracle, mc1_est
 from .cli import main
 from .estimator import (
     EstimatorSample,
-    LevelPolicy,
     MuseReplicateTask,
     RateSchedule,
     antithetic_delta,

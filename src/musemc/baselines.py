@@ -29,27 +29,24 @@ _ENUMERATION_BUDGET = 10_000_000
 @dataclass(frozen=True)
 class TreeSpec:
     """Forest geometry for the nested baseline: ``forest_size`` trees of
-    branching factor ``arity`` and ``depth`` stages."""
+    branching factor ``arity``, each as deep as the process horizon."""
 
     arity: int
-    depth: int
     forest_size: int
 
     def __post_init__(self):
-        for name in ("arity", "depth", "forest_size"):
+        for name in ("arity", "forest_size"):
             check_int(getattr(self, name), name)
 
 
-def mc1_estimate(process: ProcessSpec, reward_spec: RewardSpec, horizon: int, n_paths: int, stream) -> float:
+def mc1_estimate(process: ProcessSpec, reward_spec: RewardSpec, n_paths: int, stream) -> float:
     """Mean over ``n_paths`` simulated paths of max_k f(k, X_k).
 
     This is ``mc2_estimate`` on a forest of ``n_paths`` arity-1 trees: each
     tree is one path, and its backward reduction is the path maximum.
     """
-    if horizon != process.horizon:
-        raise ValueError(f"horizon {horizon} does not match the process horizon {process.horizon}")
     check_int(n_paths, "n_paths")
-    return mc2_estimate(process, reward_spec, TreeSpec(1, horizon, n_paths), stream)
+    return mc2_estimate(process, reward_spec, TreeSpec(1, n_paths), stream)
 
 
 def mc2_forest(process: ProcessSpec, reward_spec: RewardSpec, tree: TreeSpec, stream) -> np.ndarray:
@@ -62,12 +59,10 @@ def mc2_forest(process: ProcessSpec, reward_spec: RewardSpec, tree: TreeSpec, st
     as ``simulate_paths`` draws it, and the reduction collapses to the path
     maximum: ``mc1_estimate`` is this case.
     """
-    if tree.depth != process.horizon:
-        raise ValueError(f"tree depth {tree.depth} does not match the process horizon {process.horizon}")
     gen = as_generator(stream)
     step = compile_stepper(process)
     rew = compile_reward(reward_spec)
-    arity, depth, forest = tree.arity, tree.depth, tree.forest_size
+    arity, depth, forest = tree.arity, process.horizon, tree.forest_size
 
     # forward pass: level s holds forest * arity^(s-1) states; keep only rewards
     rewards = []

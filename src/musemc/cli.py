@@ -30,13 +30,13 @@ from dataclasses import asdict
 import numpy as np
 
 from .baselines import TreeSpec, gaussian_dp_oracle, mc1_estimate, mc2_estimate
-from .estimator import LevelPolicy, MuseReplicateTask, RateSchedule, theoretical_rate_schedule
+from .estimator import MuseReplicateTask, RateSchedule, theoretical_rate_schedule
 from .inference import bootstrap_ci, check_interval_args, clt_ci, self_normalized_variance, summarize, summary_to_json
 from .parallel import run_replicated, resolve_workers
 from .policy import PolicyConfig, _run_episodes, run_stopping_policy, write_episode_log  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
 from .processes import gaussian_iid, gbm, process_spec_from_dict
 from .rewards import basket_put, identity_reward, reward_spec_from_dict
-from .streams import derive_substream
+from .streams import check_keys, derive_substream
 
 _BOOTSTRAP_KEY = 1 << 62  # reserved stream namespace; never collides with replicate paths
 
@@ -151,7 +151,9 @@ def _load_config(args) -> dict:
     if not args.config:
         return {}
     with open(args.config) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    check_keys(config, ("process", "reward"), "config")
+    return config
 
 
 def _resolve_instance(args, config):
@@ -218,21 +220,21 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _record(args, process, reward_spec, schedule, policy):
+def _record(args, process, reward_spec, schedule, max_level=None):
     """The run's manifest ``config``: the command and the instance it resolved to."""
     return {
         "command": args.command,
         "process": asdict(process),
         "reward": asdict(reward_spec),
         "rates": list(schedule.rates),
-        "max_level": policy.max_level,
+        "max_level": max_level,
     }
 
 
-def _run(args, process, reward_spec, schedule, policy=LevelPolicy()):
+def _run(args, process, reward_spec, schedule, max_level=None):
     """Run ``args.replicates`` replicates of one instance; returns (samples, summary, manifest)."""
-    task = MuseReplicateTask(process, reward_spec, schedule, policy)
-    record = _record(args, process, reward_spec, schedule, policy)
+    task = MuseReplicateTask(process, reward_spec, schedule, max_level)
+    record = _record(args, process, reward_spec, schedule, max_level)
     samples, values, costs, manifest = run_replicated(task, args.replicates, args.seed, workers=args.workers, config=record)
     return samples, summarize(values, costs, wall_time=manifest.wall_time), manifest
 
@@ -241,10 +243,9 @@ def _cmd_estimate(args) -> int:
     """``estimate``, and ``bermudan`` through its parser defaults."""
     process, reward_spec = _resolve_instance(args, _load_config(args))
     schedule = _resolve_schedule(args, process.horizon)
-    policy = LevelPolicy() if args.truncate_level is None else LevelPolicy.truncated(args.truncate_level)
     resamples = args.bootstrap_resamples if args.ci == "bootstrap" else None
     check_interval_args(args.alpha, resamples, args.replicates)
-    samples, summary, manifest = _run(args, process, reward_spec, schedule, policy)
+    samples, summary, manifest = _run(args, process, reward_spec, schedule, args.truncate_level)
     if resamples is not None:
         ci = bootstrap_ci(samples.values, alpha=args.alpha, resamples=resamples,
                           stream=derive_substream(args.seed, (_BOOTSTRAP_KEY,)))
@@ -314,8 +315,8 @@ def _cmd_gaussian_suite(args) -> int:
         manifests.append(manifest.to_json())
         ci = clt_ci(summary, alpha=args.alpha)
         oracle = gaussian_dp_oracle(horizon)
-        mc1 = mc1_estimate(process, reward_spec, horizon, args.mc1_paths, derive_substream(args.seed, (_BOOTSTRAP_KEY + 1, horizon)))
-        tree = TreeSpec(arity=args.arity, depth=horizon, forest_size=args.trees)
+        mc1 = mc1_estimate(process, reward_spec, args.mc1_paths, derive_substream(args.seed, (_BOOTSTRAP_KEY + 1, horizon)))
+        tree = TreeSpec(arity=args.arity, forest_size=args.trees)
         mc2 = mc2_estimate(process, reward_spec, tree, derive_substream(args.seed, (_BOOTSTRAP_KEY + 2, horizon)))
         rows.append(
             {
@@ -353,7 +354,7 @@ def _cmd_stop(args) -> int:
         tolerance=args.tolerance,
         alpha=args.alpha,
     )
-    record = _record(args, process, reward_spec, schedule, LevelPolicy())
+    record = _record(args, process, reward_spec, schedule)
     outcomes, reward_summary, manifest = _run_episodes(
         process, reward_spec, policy_config, args.episodes, args.seed, args.workers, record
     )

@@ -93,34 +93,11 @@ def theoretical_rate_schedule(delta_mom: float, horizon: int) -> RateSchedule:
 
 
 @dataclass(frozen=True)
-class LevelPolicy:
-    """How levels are drawn: the exact geometric law, or truncated to 0..max_level.
-
-    Truncation renormalizes the mass on the kept levels; the estimator is
-    then biased, and samples produced under it say so.
-    """
-
-    max_level: int | None = None
-
-    def __post_init__(self):
-        if self.max_level is not None:
-            check_int(self.max_level, "max_level", low=0)
-
-    @property
-    def is_truncated(self) -> bool:
-        return self.max_level is not None
-
-    @classmethod
-    def truncated(cls, max_level: int) -> "LevelPolicy":
-        return cls(max_level=max_level)
-
-
-@dataclass(frozen=True)
 class EstimatorSample:
     """One replicate: its value, the first-level draw, and the exact cost.
 
     ``cost`` counts base-process state draws, including the first one.
-    ``biased`` marks samples produced under a truncated level policy.
+    ``biased`` marks samples drawn with the level capped at a ``max_level``.
     """
 
     value: float
@@ -206,7 +183,7 @@ def _delta(anchor, odd_avg, even_avg):
     return np.maximum(anchor, full) - 0.5 * (np.maximum(anchor, odd_avg) + np.maximum(anchor, even_avg))
 
 
-def _sample_levels(gen, r, count, policy):
+def _sample_levels(gen, r, count, max_level):
     """``count`` levels, each the least n with u * norm <= 1 - (1-r)^(n+1) for one uniform u.
 
     ``ceil - 1``, not ``floor``: at u = r the least n is 0, where ``floor``
@@ -214,25 +191,25 @@ def _sample_levels(gen, r, count, policy):
     draws, which read the same uniform and search for the same n.
     """
     u = gen.random(count)
-    if policy.is_truncated:
-        u *= _norm(r, policy)
+    if max_level is not None:
+        u *= _norm(r, max_level)
     levels = np.ceil(np.log1p(-u) / math.log1p(-r)).astype(np.int64) - 1
     np.maximum(levels, 0, out=levels)  # in place: np.clip costs half as much again per level
-    if policy.is_truncated:
-        np.minimum(levels, policy.max_level, out=levels)
+    if max_level is not None:
+        np.minimum(levels, max_level, out=levels)
     return levels
 
 
-def _norm(r, policy):
-    """The mass the policy keeps: 1, or 1 - (1-r)^(max_level+1) when truncated."""
-    if policy.is_truncated:
-        return -math.expm1((policy.max_level + 1) * math.log1p(-r))
+def _norm(r, max_level):
+    """The mass kept on levels 0..max_level: 1, or 1 - (1-r)^(max_level+1) under a cap."""
+    if max_level is not None:
+        return -math.expm1((max_level + 1) * math.log1p(-r))
     return 1.0
 
 
-def _pmf(r, levels, policy):
-    """P(N = level) under the policy, evaluated in log space."""
-    logp = math.log(r) + levels * math.log1p(-r) - math.log(_norm(r, policy))
+def _pmf(r, levels, max_level):
+    """P(N = level) under the cap ``max_level`` (``None``: uncapped), evaluated in log space."""
+    logp = math.log(r) + levels * math.log1p(-r) - math.log(_norm(r, max_level))
     return np.exp(logp)
 
 
@@ -242,10 +219,10 @@ class _Context:
     rates: tuple[float, ...]
     step: Callable
     rew: Callable
-    policy: LevelPolicy = LevelPolicy()
+    max_level: int | None = None
 
 
-def _compile_context(process: ProcessSpec, reward_spec: RewardSpec, schedule: RateSchedule, policy: LevelPolicy) -> _Context:
+def _compile_context(process: ProcessSpec, reward_spec: RewardSpec, schedule: RateSchedule, max_level: int | None = None) -> _Context:
     if schedule.horizon != process.horizon:
         raise ValueError(
             f"rate schedule covers horizon {schedule.horizon} but the process has horizon {process.horizon}"
@@ -253,7 +230,7 @@ def _compile_context(process: ProcessSpec, reward_spec: RewardSpec, schedule: Ra
     return _Context(
         horizon=process.horizon,
         rates=schedule.rates,
-        policy=policy,
+        max_level=max_level,
         step=compile_stepper(process),
         rew=compile_reward(reward_spec),
     )
@@ -276,10 +253,10 @@ def _run_batch(k, parents, count, gen, ctx):
 
     anchors = np.asarray(ctx.rew(k + 1, x), dtype=float)
     r = ctx.rates[k]
-    levels = _sample_levels(gen, r, count, ctx.policy)
+    levels = _sample_levels(gen, r, count, ctx.max_level)
     m = np.int64(1) << levels
     # one pmf per level, the same float operations as per row; count >= 1
-    pmf = _pmf(r, np.arange(int(levels.max()) + 1), ctx.policy)
+    pmf = _pmf(r, np.arange(int(levels.max()) + 1), ctx.max_level)
     leaves = k + 1 == ctx.horizon - 1  # every child then costs exactly one draw
     values = np.empty(count)
     costs = np.empty(count, dtype=np.int64)
@@ -342,7 +319,7 @@ def two_stage_muse(process: ProcessSpec, reward_spec: RewardSpec, r: float, stre
     samples in even-sized chunks of at most ``_MAX_GROUP``, and forms the
     antithetic difference around max(f(X_1), .).
     """
-    ctx = _compile_context(process, reward_spec, RateSchedule((r,)), LevelPolicy())
+    ctx = _compile_context(process, reward_spec, RateSchedule((r,)))
     gen = as_generator(stream)
     level = sample_geometric_level(r, gen)
     x1 = ctx.step(1, None, 1, gen)
@@ -363,34 +340,36 @@ def two_stage_muse(process: ProcessSpec, reward_spec: RewardSpec, r: float, stre
             cost += int(cc.sum())
         h = m // 2
         delta = _delta(anchor, odd / h, (tot - odd) / h)
-    return EstimatorSample(value=float(delta / _pmf(r, level, ctx.policy)), top_level=level, cost=cost)
+    return EstimatorSample(value=float(delta / _pmf(r, level, ctx.max_level)), top_level=level, cost=cost)
 
 
 def multi_stage_muse(
-    stage: int,
     history: TrajectoryHistory,
     process: ProcessSpec,
     reward_spec: RewardSpec,
     schedule: RateSchedule,
-    policy: LevelPolicy = LevelPolicy(),
+    max_level: int | None = None,
     stream=None,
 ) -> EstimatorSample:
     """One replicate of the tail value U_{T-k} given a realized stage-k history.
 
-    Unbiased under the untruncated level policy; under a truncated policy the
-    sample is flagged ``biased``.
+    The stage k is ``history.stage``.  Unbiased when ``max_level`` is
+    ``None``; with levels capped at ``max_level`` the sample is flagged
+    ``biased``.
     """
-    parents = _history_parent(process, history, stage)
-    ctx = _compile_context(process, reward_spec, schedule, policy)
-    v, c, lv = _run_batch(stage, parents, 1, as_generator(stream), ctx)
-    return EstimatorSample(value=float(v[0]), top_level=int(lv[0]), cost=int(c[0]), biased=policy.is_truncated)
+    if max_level is not None:
+        check_int(max_level, "max_level", low=0)
+    parents = _history_parent(process, history)
+    ctx = _compile_context(process, reward_spec, schedule, max_level)
+    v, c, lv = _run_batch(history.stage, parents, 1, as_generator(stream), ctx)
+    return EstimatorSample(value=float(v[0]), top_level=int(lv[0]), cost=int(c[0]), biased=max_level is not None)
 
 
 def estimate_utility(
     process: ProcessSpec,
     reward_spec: RewardSpec,
     schedule: RateSchedule,
-    policy: LevelPolicy = LevelPolicy(),
+    max_level: int | None = None,
     n_replicates: int = 1,
     stream=None,
 ) -> BatchSummary:
@@ -402,8 +381,7 @@ def estimate_utility(
     stream and ``n_replicates`` and matches ``muse estimate`` at any
     worker count.
     """
-    check_int(n_replicates, "n_replicates")
-    task = MuseReplicateTask(process, reward_spec, schedule, policy)
+    task = MuseReplicateTask(process, reward_spec, schedule, max_level)
     _, values, costs, manifest = run_replicated(task, n_replicates, stream, workers=1)
     return summarize(values, costs, wall_time=manifest.wall_time)
 
@@ -414,18 +392,21 @@ class MuseReplicateTask:
     ``run_block(start, count, stream)`` runs ``count`` replicates as one
     batch on ``stream`` (the replicates are exchangeable, so ``start`` is
     not used); calling the task runs a single replicate on its stream.
+    Levels are capped at ``max_level`` unless it is ``None``.
     """
 
-    def __init__(self, process, reward_spec, schedule, policy=LevelPolicy()):
+    def __init__(self, process, reward_spec, schedule, max_level=None):
+        if max_level is not None:
+            check_int(max_level, "max_level", low=0)
         self.process = process
         self.reward_spec = reward_spec
         self.schedule = schedule
-        self.policy = policy
+        self.max_level = max_level
 
     def run_block(self, start, count, stream) -> SampleBlock:
-        ctx = _compile_context(self.process, self.reward_spec, self.schedule, self.policy)
+        ctx = _compile_context(self.process, self.reward_spec, self.schedule, self.max_level)
         v, c, lv = _run_batch(0, None, count, stream.generator, ctx)
-        return SampleBlock(v, lv, c, self.policy.is_truncated)
+        return SampleBlock(v, lv, c, self.max_level is not None)
 
     def __call__(self, index, stream) -> EstimatorSample:
         return self.run_block(index, 1, stream)[0]

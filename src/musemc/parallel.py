@@ -114,8 +114,7 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
     chunks)`` processes; the manifest records the requested ``workers``.
     ``task`` must be picklable when more than one worker is used.
     """
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be a positive integer")
+    check_int(n_replicates, "n_replicates")
     root = as_stream(seed)
     if workers is None:
         workers = resolve_workers()

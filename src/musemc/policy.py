@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _MAX_GROUP, LevelPolicy, RateSchedule, _compile_context, _group_bounds, _run_batch
+from .estimator import _MAX_GROUP, RateSchedule, _compile_context, _group_bounds, _run_batch
 from .inference import BatchSummary, normal_quantile, summarize
 from .parallel import map_replicated
 from .processes import ProcessSpec, _history_parent, check_int
@@ -97,11 +97,11 @@ class PolicyOutcome:
     diagnostics: tuple[StageDecision, ...]
 
 
-def decide_stop(history, stage: int, fx: float, process: ProcessSpec, reward_spec: RewardSpec, config: PolicyConfig, stream) -> tuple[bool, StageDecision]:
-    """One decision: estimate the continuation value and compare against fx."""
-    last = _history_parent(process, history, stage, first=1)
-    ctx = _compile_context(process, reward_spec, config.schedule, LevelPolicy())
-    stop, decisions, _ = _decide(last, stage, np.array([float(fx)]), config, as_generator(stream), ctx)
+def decide_stop(history, fx: float, process: ProcessSpec, reward_spec: RewardSpec, config: PolicyConfig, stream) -> tuple[bool, StageDecision]:
+    """One decision at stage ``history.stage``: estimate the continuation value and compare against fx."""
+    last = _history_parent(process, history, first=1)
+    ctx = _compile_context(process, reward_spec, config.schedule)
+    stop, decisions, _ = _decide(last, history.stage, np.array([float(fx)]), config, as_generator(stream), ctx)
     return bool(stop[0]), decisions[0]
 
 
@@ -195,7 +195,7 @@ class PolicyEpisodeTask:
         self.config = config
 
     def run_block(self, start, count, stream) -> list[PolicyOutcome]:
-        ctx = _compile_context(self.process, self.reward_spec, self.config.schedule, LevelPolicy())
+        ctx = _compile_context(self.process, self.reward_spec, self.config.schedule)
         path_gen = stream.child(0).generator
         state = ctx.step(1, None, count, path_gen)
         running = np.arange(count)

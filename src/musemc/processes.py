@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .streams import as_generator, check_int
+from .streams import as_generator, check_int, check_keys
 
 GAUSSIAN_IID = "GaussianIID"
 GBM = "GBM"
@@ -200,14 +200,13 @@ def validate_history(spec: ProcessSpec, history: TrajectoryHistory):
             raise ValueError(f"history state at stage {s} is not finite")
 
 
-def _history_parent(spec: ProcessSpec, history: TrajectoryHistory, stage: int, first: int = 0):
-    """Check that ``history`` is a valid stage-``stage`` prefix with ``first <= stage < horizon``.
+def _history_parent(spec: ProcessSpec, history: TrajectoryHistory, first: int = 0):
+    """Check that ``history`` is a valid prefix whose stage lies in ``[first, horizon)``.
 
     Returns its last state as a ``(1, dimension)`` row, or ``None`` at stage 0.
     """
-    if history.stage != stage:
-        raise ValueError(f"history is at stage {history.stage}, expected {stage}")
     validate_history(spec, history)
+    stage = history.stage
     if not first <= stage <= spec.horizon - 1:
         raise ValueError(f"stage must lie in [{first}, {spec.horizon - 1}], got {stage}")
     return None if stage == 0 else np.asarray(history.last(), dtype=float)[None, :]
@@ -301,7 +300,7 @@ def sample_next(spec: ProcessSpec, history: TrajectoryHistory, count: int, strea
     law only depends on the last state and the stage.
     """
     check_int(count, "count")
-    parent = _history_parent(spec, history, history.stage)
+    parent = _history_parent(spec, history)
     parents = None if parent is None else np.broadcast_to(parent, (count, spec.dimension))
     return compile_stepper(spec)(history.stage + 1, parents, count, as_generator(stream))
 
@@ -313,7 +312,7 @@ def exact_conditional_mean(spec: ProcessSpec, history: TrajectoryHistory, payoff
     """
     if spec.kind != USER_DISCRETE:
         raise ValueError("exact conditional means are only available for UserDiscrete processes")
-    parent = _history_parent(spec, history, history.stage)
+    parent = _history_parent(spec, history)
     payoff = np.asarray(payoff_values, dtype=float)
     m = len(spec.support)
     if payoff.shape != (m,):
@@ -349,6 +348,7 @@ def process_spec_from_dict(data: dict) -> ProcessSpec:
     """Build a ProcessSpec from a JSON-style mapping (see README for fields)."""
     if "kind" not in data:
         raise ValueError("process config requires a 'kind' field")
+    check_keys(data, [f.name for f in fields(ProcessSpec)], "process config")
     kind = _normalize_kind(data["kind"])
     if kind == GAUSSIAN_IID:
         return gaussian_iid(horizon=data["horizon"], dimension=data.get("dimension", 1))
@@ -364,7 +364,9 @@ def process_spec_from_dict(data: dict) -> ProcessSpec:
             times=times,
             start_time=float(data.get("start_time", 0.0)),
         )
-    return user_discrete(data["support"], data["transitions"])
+    chain = user_discrete(data["support"], data["transitions"])
+    # a given horizon or dimension is checked against the transitions, not dropped
+    return replace(chain, horizon=data.get("horizon", chain.horizon), dimension=data.get("dimension", 1))
 
 
 def load_process_spec(path) -> ProcessSpec:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .streams import check_keys
 
 IDENTITY = "Identity"
 BASKET_PUT = "BasketPut"
@@ -84,6 +86,7 @@ def reward_spec_from_dict(data: dict) -> RewardSpec:
     """Build a RewardSpec from a JSON-style mapping."""
     if "kind" not in data:
         raise ValueError("reward config requires a 'kind' field")
+    check_keys(data, [f.name for f in fields(RewardSpec)], "reward config")
     key = "".join(ch for ch in str(data["kind"]).lower() if ch.isalnum())
     if key == "identity":
         return identity_reward()

@@ -23,6 +23,13 @@ def check_int(value, name: str, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_keys(data, allowed, what: str) -> None:
+    """Raise a ValueError naming each key of ``data`` outside ``allowed``, so a misspelled key is not dropped."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, sorted(unknown)))}")
+
+
 class RandomStream:
     """A keyed random stream: ``(master_seed, path) -> generator``.
 

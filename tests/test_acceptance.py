@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from musemc import (
-    LevelPolicy,
     PolicyConfig,
     RandomStream,
     RateSchedule,
@@ -102,18 +101,18 @@ def test_criterion_03_baseline_bias_separation():
     paths = simulate_paths(process, n_paths, derive_substream(31, (0,)))
     maxima = paths[:, :, 0].max(axis=1)
     se = float(maxima.std(ddof=1) / math.sqrt(n_paths))
-    mc1 = mc1_estimate(process, rew, horizon, n_paths, derive_substream(31, (0,)))
+    mc1 = mc1_estimate(process, rew, n_paths, derive_substream(31, (0,)))
     assert mc1 == float(maxima.mean())  # same stream key -> identical draws
     overshoot_ok = (mc1 - oracle) >= 5.0 * se
 
     # Matched budget: a 1000-tree arity-5 depth-3 forest draws 1000*(1+5+25)
     # states, which buys 31000/3 three-draw paths for MC1.
-    tree = TreeSpec(arity=5, depth=horizon, forest_size=1000)
+    tree = TreeSpec(arity=5, forest_size=1000)
     budget_paths = (1000 * (1 + 5 + 25)) // horizon
     wins = 0
     for rep in range(50):
         mc2 = mc2_estimate(process, rew, tree, derive_substream(32, (rep,)))
-        mc1_rep = mc1_estimate(process, rew, horizon, budget_paths, derive_substream(33, (rep,)))
+        mc1_rep = mc1_estimate(process, rew, budget_paths, derive_substream(33, (rep,)))
         if abs(mc2 - oracle) < abs(mc1_rep - oracle):
             wins += 1
     ok = overshoot_ok and wins >= 45

@@ -124,24 +124,24 @@ def test_mc1_two_branch_average():
             ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
         ),
     )
-    got = mc1_estimate(chain, identity_reward(), 2, 40_000, stream(50))
+    got = mc1_estimate(chain, identity_reward(), 40_000, stream(50))
     assert abs(got - 2.5) < 0.02
 
 
 def test_mc1_deterministic_chain_is_exact():
     chain = deterministic_chain((1.0, 2.0))
-    assert mc1_estimate(chain, identity_reward(), 2, 100, stream(51)) == 2.0
+    assert mc1_estimate(chain, identity_reward(), 100, stream(51)) == 2.0
 
 
 def test_mc1_single_stage_is_plain_monte_carlo():
     chain = deterministic_chain((4.0,))
-    assert mc1_estimate(chain, identity_reward(), 1, 64, stream(52)) == 4.0
+    assert mc1_estimate(chain, identity_reward(), 64, stream(52)) == 4.0
 
 
 def test_mc1_overestimates_the_stopping_value():
     """Path maxima peek at the future: E[max_k Z_k] = 3/(2 sqrt(pi)) at T = 3."""
     proc = gaussian_iid(horizon=3)
-    got = mc1_estimate(proc, identity_reward(), 3, 100_000, stream(53))
+    got = mc1_estimate(proc, identity_reward(), 100_000, stream(53))
     # independent anchor for E[max of three standard normals]
     anchor = 3.0 / (2.0 * math.sqrt(math.pi))
     assert abs(got - anchor) < 0.012  # ~5 standard errors
@@ -151,9 +151,7 @@ def test_mc1_overestimates_the_stopping_value():
 def test_mc1_guards():
     proc = gaussian_iid(horizon=3)
     with pytest.raises(ValueError):
-        mc1_estimate(proc, identity_reward(), 2, 10, stream(54))
-    with pytest.raises(ValueError):
-        mc1_estimate(proc, identity_reward(), 3, 0, stream(54))
+        mc1_estimate(proc, identity_reward(), 0, stream(54))
 
 
 # ------------------------------------------------------------------ MC2
@@ -161,9 +159,9 @@ def test_mc1_guards():
 
 def test_mc2_arity_one_is_mc1_exactly():
     proc = gaussian_iid(horizon=4)
-    tree = TreeSpec(arity=1, depth=4, forest_size=500)
+    tree = TreeSpec(arity=1, forest_size=500)
     a = mc2_estimate(proc, identity_reward(), tree, stream(55))
-    b = mc1_estimate(proc, identity_reward(), 4, 500, stream(55))
+    b = mc1_estimate(proc, identity_reward(), 500, stream(55))
     assert a == b
 
 
@@ -174,13 +172,13 @@ def test_mc1_is_the_mean_of_simulated_path_maxima():
     rew = compile_reward(reward_spec)
     paths = simulate_paths(proc, 3000, stream(62))
     maxima = np.max([rew(s, paths[:, s - 1, :]) for s in range(1, 4)], axis=0)
-    assert mc1_estimate(proc, reward_spec, 3, 3000, stream(62)) == float(maxima.mean())
+    assert mc1_estimate(proc, reward_spec, 3000, stream(62)) == float(maxima.mean())
 
 
 def test_mc2_depth_one_is_plain_monte_carlo():
     proc = gaussian_iid(horizon=1)
     # forest size deliberately not divisible by the arity
-    tree = TreeSpec(arity=5, depth=1, forest_size=7)
+    tree = TreeSpec(arity=5, forest_size=7)
     got = mc2_forest(proc, identity_reward(), tree, stream(56))
     want = derive_substream(0, (56,)).generator.standard_normal((7, 1))[:, 0]
     assert np.array_equal(got, want)
@@ -188,13 +186,13 @@ def test_mc2_depth_one_is_plain_monte_carlo():
 
 def test_mc2_point_mass_chain_is_exact():
     chain = deterministic_chain((1.0, 5.0, 2.0))
-    tree = TreeSpec(arity=3, depth=3, forest_size=10)
+    tree = TreeSpec(arity=3, forest_size=10)
     assert mc2_estimate(chain, identity_reward(), tree, stream(57)) == 5.0
 
 
 def test_mc2_forest_mean_is_the_estimate():
     proc = gaussian_iid(horizon=3)
-    tree = TreeSpec(arity=4, depth=3, forest_size=200)
+    tree = TreeSpec(arity=4, forest_size=200)
     forest = mc2_forest(proc, identity_reward(), tree, stream(58))
     assert forest.shape == (200,)
     assert mc2_estimate(proc, identity_reward(), tree, stream(58)) == forest.mean()
@@ -203,22 +201,15 @@ def test_mc2_forest_mean_is_the_estimate():
 def test_mc2_biased_high_but_less_than_mc1():
     proc = gaussian_iid(horizon=3)
     oracle = gaussian_dp_oracle(3)
-    tree = TreeSpec(arity=5, depth=3, forest_size=2000)
+    tree = TreeSpec(arity=5, forest_size=2000)
     forest = mc2_forest(proc, identity_reward(), tree, stream(59))
     se = forest.std(ddof=1) / math.sqrt(forest.size)
     assert forest.mean() > oracle  # nested averaging still biases upward
-    mc1 = mc1_estimate(proc, identity_reward(), 3, 2000 * (1 + 5 + 25) // 3, stream(60))
+    mc1 = mc1_estimate(proc, identity_reward(), 2000 * (1 + 5 + 25) // 3, stream(60))
     assert abs(forest.mean() - oracle) < abs(mc1 - oracle)
 
 
 def test_mc2_guards():
-    proc = gaussian_iid(horizon=3)
-    with pytest.raises(ValueError):
-        mc2_estimate(proc, identity_reward(), TreeSpec(arity=2, depth=2, forest_size=10), stream(61))
-    for bad in (
-        dict(arity=0, depth=3, forest_size=10),
-        dict(arity=2, depth=0, forest_size=10),
-        dict(arity=2, depth=3, forest_size=0),
-    ):
+    for bad in (dict(arity=0, forest_size=10), dict(arity=2, forest_size=0)):
         with pytest.raises(ValueError):
             TreeSpec(**bad)

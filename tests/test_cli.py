@@ -187,6 +187,7 @@ def test_interval_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, ca
         (["gaussian-suite", "--trees", 0], "--trees must be a positive integer"),
         (["gaussian-suite", "--arity", 0], "--arity must be a positive integer"),
         (["tune-rate", "--replicates", 1], "tune-rate needs at least two replicates per rate to estimate a variance"),
+        (["estimate", "--truncate-level", -1], "max_level must be an integer >= 0, got -1"),
     ],
 )
 def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, message):
@@ -204,9 +205,19 @@ def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "argv, config, message",
     [
-        (["estimate"], {"kind": "gaussian", "horizon": 2.5}, "horizon must be an integer >= 1, got 2.5"),
-        (["stop"], {"kind": "gaussian", "horizon": 3, "dimension": 1.9}, "dimension must be an integer >= 1, got 1.9"),
+        (["estimate"], {"process": {"kind": "gaussian", "horizon": 2.5}}, "horizon must be an integer >= 1, got 2.5"),
+        (["stop"], {"process": {"kind": "gaussian", "horizon": 3, "dimension": 1.9}}, "dimension must be an integer >= 1, got 1.9"),
         (["gaussian-suite", "--horizons", "2,3.5"], None, "--horizons must be a comma-separated list of integers >= 2, got '2,3.5'"),
+        # a misspelled key is refused, not dropped in favour of a default
+        (["estimate"], {"proces": {"kind": "gbm", "sigma": 0.2, "spot": 100, "times": [1, 2]}},
+         "unknown config key(s): 'proces'"),
+        (["estimate"], {"process": {"kind": "gaussian", "horizon": 3, "dimesion": 2}}, "unknown process config key(s): 'dimesion'"),
+        (["stop"], {"reward": {"kind": "basket-put", "strike": 95, "discunt": 0.05, "times": [1, 2, 3]}},
+         "unknown reward config key(s): 'discunt'"),
+        # a chain's horizon is its transition count, never a second value
+        (["estimate"], {"process": {"kind": "UserDiscrete", "support": [0, 1], "horizon": 7,
+                                    "transitions": [[0.5, 0.5], [[1, 0], [0, 1]]]}},
+         "transitions must have one entry per stage (7), got 2"),
     ],
 )
 def test_fractional_integer_fields_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, config, message):
@@ -217,7 +228,7 @@ def test_fractional_integer_fields_fail_before_any_replicate_runs(tmp_path, monk
     monkeypatch.setattr(cli, "_run_episodes", refuse)
     if config is not None:
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"process": config}))
+        path.write_text(json.dumps(config))
         argv = argv + ["--config", path]
     out = tmp_path / "out"
     assert run(argv + ["--out-dir", out]) == 1
@@ -559,6 +570,37 @@ def test_every_command_records_its_instance(tmp_path, argv):
     assert configs[-1]["max_level"] == (2 if argv[0] == "estimate" else None)
     assert configs[-1]["process"]["kind"] == ("GBM" if argv[0] == "bermudan" else "GaussianIID")
     assert configs[-1]["reward"]["kind"] == ("BasketPut" if argv[0] == "bermudan" else "Identity")
+
+
+@pytest.mark.parametrize(
+    "argv, log",
+    [
+        (["estimate", "--process", "gbm", "--dimension", 3, "--dates", "0,1,2", "--ci", "bootstrap", "--replicates", 300],
+         "replicates.csv"),
+        (["bermudan", "--dim", 2, "--replicates", 300], "replicates.csv"),
+        (["estimate", "--horizon", 4, "--rates", "0.6,0.7,0.8", "--truncate-level", 3, "--replicates", 300], "replicates.csv"),
+        (["stop", "--config", "CHAIN", "--episodes", 6, "--inner-replicates", 200], "episodes.csv"),
+    ],
+    ids=["gbm-bootstrap", "bermudan", "truncated", "chain-stop"],
+)
+def test_a_recorded_instance_replays(tmp_path, argv, log):
+    """A manifest's ``config.process`` and ``config.reward``, run as ``--config`` at
+    the same seed, rates and level cap, redraw the same replicates or episodes."""
+    chain = mixing_three_stage()
+    transitions = [list(chain.transitions[0])] + [[list(row) for row in mat] for mat in chain.transitions[1:]]
+    (tmp_path / "chain.json").write_text(json.dumps({"process": {"kind": "UserDiscrete", "support": list(chain.support),
+                                                                 "transitions": transitions}}))
+    argv = [tmp_path / "chain.json" if a == "CHAIN" else a for a in argv]
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert run(argv + ["--seed", 5, "--workers", 1, "--out-dir", first]) == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    (tmp_path / "replay.json").write_text(json.dumps({"process": config["process"], "reward": config["reward"]}))
+    counts = argv[argv.index("--episodes"):] if argv[0] == "stop" else ["--replicates", 300]
+    cap = [] if config["max_level"] is None else ["--truncate-level", config["max_level"]]
+    command = "stop" if argv[0] == "stop" else "estimate"
+    assert run([command, "--config", tmp_path / "replay.json", "--rates", ",".join(map(repr, config["rates"])), *counts,
+                *cap, "--seed", 5, "--workers", 1, "--out-dir", replay]) == 0
+    assert (replay / log).read_bytes() == (first / log).read_bytes()
 
 
 def test_workers_env_overrides_flag(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ import musemc.estimator as est
 from musemc.baselines import discrete_dp_oracle
 from musemc.estimator import (
     EstimatorSample,
-    LevelPolicy,
     MuseReplicateTask,
     RateSchedule,
     antithetic_delta,
@@ -104,39 +103,34 @@ def test_rate_schedule_validation():
         RateSchedule.constant(0.6, 0)
 
 
-# ------------------------------------------------------------- level policy
+# --------------------------------------------------------------- level cap
 
 
-def test_level_policy_modes():
-    assert not LevelPolicy().is_truncated
-    assert LevelPolicy.truncated(3).is_truncated
-    assert LevelPolicy.truncated(0).max_level == 0
-    assert LevelPolicy(max_level=3) == LevelPolicy.truncated(3)
-    assert LevelPolicy() == LevelPolicy(max_level=None)
+def test_level_cap_must_be_a_nonnegative_int():
+    proc = gaussian_iid(horizon=2)
+    sched = RateSchedule.constant(0.6, 2)
     # a negative, float or bool cap raises instead of running as another cap
     for cap in (-1, 2.5, 3.0, True, False):
-        with pytest.raises(ValueError, match="max_level"):
-            LevelPolicy.truncated(cap)
-        with pytest.raises(ValueError, match="max_level"):
-            LevelPolicy(max_level=cap)
+        with pytest.raises(ValueError, match="max_level must be an integer >= 0"):
+            MuseReplicateTask(proc, identity_reward(), sched, cap)
+        with pytest.raises(ValueError, match="max_level must be an integer >= 0"):
+            multi_stage_muse(EMPTY_HISTORY, proc, identity_reward(), sched, cap, stream(0))
 
 
 def test_truncated_pmf_renormalizes():
-    policy = LevelPolicy.truncated(4)
-    mass = est._pmf(0.6, np.arange(5), policy)
+    mass = est._pmf(0.6, np.arange(5), 4)
     assert abs(mass.sum() - 1.0) < 1e-12
     # proportions match the untruncated law
-    raw = est._pmf(0.6, np.arange(5), LevelPolicy())
+    raw = est._pmf(0.6, np.arange(5), None)
     assert np.allclose(mass, raw / raw.sum(), rtol=1e-12)
 
 
 def test_truncated_sampler_respects_cap():
-    policy = LevelPolicy.truncated(2)
-    levels = est._sample_levels(stream(20).generator, 0.55, 50_000, policy)
+    levels = est._sample_levels(stream(20).generator, 0.55, 50_000, 2)
     assert levels.min() >= 0
     assert levels.max() <= 2
     # frequencies match the renormalized pmf
-    want = est._pmf(0.55, np.arange(3), policy)
+    want = est._pmf(0.55, np.arange(3), 2)
     got = np.bincount(levels, minlength=3) / levels.size
     assert np.allclose(got, want, atol=0.01)
 
@@ -155,7 +149,7 @@ def test_geometric_level_distribution():
 def test_geometric_level_powers_of_two_mean():
     # E[2^N] = r/(2r-1) = 3 at r = 0.6; heavy-tailed, so the tolerance is 5%
     gen = stream(0, seed=5).generator
-    n = est._sample_levels(gen, 0.6, 1_000_000, LevelPolicy())
+    n = est._sample_levels(gen, 0.6, 1_000_000, None)
     assert abs((2.0**n).mean() - 3.0) < 0.15
 
 
@@ -165,7 +159,7 @@ def test_batch_levels_are_numpys_geometric_draws(r):
     does for r >= 1/3, and returns the same least n: the draws agree bit for
     bit and both generators end at the same position."""
     ours, theirs = stream(7, seed=31).generator, stream(7, seed=31).generator
-    levels = est._sample_levels(ours, r, 1_000_000, LevelPolicy())
+    levels = est._sample_levels(ours, r, 1_000_000, None)
     want = theirs.geometric(r, size=1_000_000) - 1
     assert levels.dtype == np.int64
     assert np.array_equal(levels, want)
@@ -194,11 +188,11 @@ def test_level_draws_at_the_cdf_ends(monkeypatch):
 
     r = 0.6
     uniforms = [0.0, r, 0.5, 1.0 - 2.0**-53]
-    levels = est._sample_levels(Fixed(uniforms), r, len(uniforms), LevelPolicy())
+    levels = est._sample_levels(Fixed(uniforms), r, len(uniforms), None)
     assert levels.tolist() == [0, 0, 0, 40]
     monkeypatch.setattr(est, "as_generator", lambda gen: gen)
     assert [sample_geometric_level(r, Fixed([u])) for u in uniforms] == levels.tolist()
-    assert est._sample_levels(Fixed(uniforms), r, len(uniforms), LevelPolicy.truncated(2)).tolist() == [0, 0, 0, 2]
+    assert est._sample_levels(Fixed(uniforms), r, len(uniforms), 2).tolist() == [0, 0, 0, 2]
 
 
 def test_sample_geometric_level_domain():
@@ -364,7 +358,7 @@ def test_two_stage_chunked_accumulation_is_invariant(monkeypatch):
 def test_base_case_is_deterministic():
     chain = deterministic_chain((7.0,))
     sched = RateSchedule.constant(0.6, 1)
-    s = multi_stage_muse(0, EMPTY_HISTORY, chain, identity_reward(), sched, stream=stream(27))
+    s = multi_stage_muse(EMPTY_HISTORY, chain, identity_reward(), sched, stream=stream(27))
     assert s.value == 7.0
     assert s.cost == 1
     assert s.top_level == 0
@@ -374,7 +368,7 @@ def test_final_stage_given_history_is_deterministic():
     chain = deterministic_chain((3.0, 9.0))
     sched = RateSchedule.constant(0.6, 2)
     hist = EMPTY_HISTORY.extended([3.0])
-    s = multi_stage_muse(1, hist, chain, identity_reward(), sched, stream=stream(28))
+    s = multi_stage_muse(hist, chain, identity_reward(), sched, stream=stream(28))
     assert s.value == 9.0
     assert s.cost == 1
 
@@ -406,7 +400,7 @@ def test_multi_stage_constant_reward_unbiased():
     sched = RateSchedule.constant(0.6, 3)
     values = []
     for i in range(4000):
-        s = multi_stage_muse(0, EMPTY_HISTORY, chain, identity_reward(), sched, stream=stream(i, seed=32))
+        s = multi_stage_muse(EMPTY_HISTORY, chain, identity_reward(), sched, stream=stream(i, seed=32))
         assert math.isfinite(s.value)
         assert s.cost >= 3
         values.append(s.value)
@@ -418,24 +412,18 @@ def test_multi_stage_constant_reward_unbiased():
 def test_multi_stage_guards():
     proc = gaussian_iid(horizon=3)
     sched = RateSchedule.constant(0.6, 3)
-    hist = EMPTY_HISTORY.extended([0.0])
-    with pytest.raises(ValueError):
-        multi_stage_muse(0, hist, proc, identity_reward(), sched, stream=stream(33))
-    with pytest.raises(ValueError):
-        multi_stage_muse(2, hist, proc, identity_reward(), sched, stream=stream(33))
-    full = hist.extended([0.0]).extended([0.0])
-    with pytest.raises(ValueError):
-        multi_stage_muse(3, full, proc, identity_reward(), sched, stream=stream(33))
+    full = EMPTY_HISTORY.extended([0.0]).extended([0.0]).extended([0.0])
+    with pytest.raises(ValueError):  # no level is drawn at the last stage
+        multi_stage_muse(full, proc, identity_reward(), sched, stream=stream(33))
     with pytest.raises(ValueError):  # schedule horizon mismatch
-        multi_stage_muse(0, EMPTY_HISTORY, proc, identity_reward(), RateSchedule.constant(0.6, 2), stream=stream(33))
+        multi_stage_muse(EMPTY_HISTORY, proc, identity_reward(), RateSchedule.constant(0.6, 2), stream=stream(33))
 
 
 def test_truncated_policy_flags_bias_and_fixes_cost():
     proc = gaussian_iid(horizon=4)
     sched = RateSchedule.constant(0.6, 4)
-    policy = LevelPolicy.truncated(0)
     for i in range(50):
-        s = multi_stage_muse(0, EMPTY_HISTORY, proc, identity_reward(), sched, policy, stream(i, seed=34))
+        s = multi_stage_muse(EMPTY_HISTORY, proc, identity_reward(), sched, 0, stream(i, seed=34))
         assert s.biased
         assert s.top_level == 0
         assert s.cost == 4  # a single path: one draw per stage
@@ -453,7 +441,7 @@ def test_exact_zero_survives_chunked_reduction(monkeypatch):
     sched = RateSchedule.constant(0.6, 2)
     hit_zero = hit_deep = 0
     for i in range(200):
-        s = multi_stage_muse(0, EMPTY_HISTORY, chain, identity_reward(), sched, stream=stream(i, seed=35))
+        s = multi_stage_muse(EMPTY_HISTORY, chain, identity_reward(), sched, stream=stream(i, seed=35))
         if s.top_level == 0:
             assert s.value == 2.5 / 0.6
         else:
@@ -478,7 +466,7 @@ def test_tiny_batch_caps_leave_the_mean_alone(monkeypatch):
 def test_no_stepper_call_below_the_top_batch_exceeds_the_cap(monkeypatch):
     """Every expansion below the top batch draws at most _MAX_GROUP rows, wide rows included."""
     monkeypatch.setattr(est, "_MAX_GROUP", 16)
-    ctx = est._compile_context(gaussian_iid(horizon=3), identity_reward(), RateSchedule.constant(0.6, 3), LevelPolicy())
+    ctx = est._compile_context(gaussian_iid(horizon=3), identity_reward(), RateSchedule.constant(0.6, 3))
     rows = []
     step = ctx.step
 
@@ -516,7 +504,7 @@ def _record_odd_half_sums(monkeypatch, rows):
         return children[start:start + count, None].copy()
 
     ctx = est._Context(2, (0.6,), step, lambda stage, x: x[:, 0])
-    monkeypatch.setattr(est, "_sample_levels", lambda gen, r, count, policy: levels)
+    monkeypatch.setattr(est, "_sample_levels", lambda gen, r, count, max_level: levels)
     halves = []
     delta = est._delta
 
@@ -541,7 +529,7 @@ def _record_odd_half_sums(monkeypatch, rows):
         assert got_odd.tobytes() == (odd / h).tobytes()
         assert got_even.tobytes() == ((tot - odd) / h).tobytes()
         full = np.where(levels == 0, np.maximum(anchors, tot), delta(anchors, odd / h, (tot - odd) / h))
-        assert values.tobytes() == (full / est._pmf(0.6, levels, LevelPolicy())).tobytes()
+        assert values.tobytes() == (full / est._pmf(0.6, levels, None)).tobytes()
     return got_odd, got_even
 
 
@@ -590,13 +578,13 @@ def test_odd_half_sums_keep_signed_zeros_inf_and_nan(monkeypatch):
 
 
 @pytest.mark.parametrize("horizon", [2, 3, 4])
-@pytest.mark.parametrize("policy", [LevelPolicy(), LevelPolicy.truncated(3)], ids=["untruncated", "truncated"])
+@pytest.mark.parametrize("max_level", [None, 3], ids=["untruncated", "truncated"])
 @pytest.mark.parametrize("cap", [None, 4], ids=["default-cap", "cap-4"])
-def test_batch_costs_sum_to_the_rows_drawn(monkeypatch, horizon, policy, cap):
+def test_batch_costs_sum_to_the_rows_drawn(monkeypatch, horizon, max_level, cap):
     """A top batch's costs add up to every state draw its stepper made, first draws included."""
     if cap is not None:
         monkeypatch.setattr(est, "_MAX_GROUP", cap)
-    ctx = est._compile_context(gaussian_iid(horizon=horizon), identity_reward(), RateSchedule.constant(0.6, horizon), policy)
+    ctx = est._compile_context(gaussian_iid(horizon=horizon), identity_reward(), RateSchedule.constant(0.6, horizon), max_level)
     rows = []
     step = ctx.step
 
@@ -629,7 +617,7 @@ def test_estimate_utility_keys_replicates_like_the_harness():
     sched = RateSchedule.constant(0.6, 3)
     n = BLOCK_SIZE + 5
     summary = estimate_utility(proc, identity_reward(), sched, n_replicates=n, stream=RandomStream(38))
-    ctx = est._compile_context(proc, identity_reward(), sched, LevelPolicy())
+    ctx = est._compile_context(proc, identity_reward(), sched)
     blocks = [est._run_batch(0, None, count, derive_substream(38, (b,)).generator, ctx)
               for b, count in enumerate((BLOCK_SIZE, 5))]
     values = np.concatenate([v for v, _, _ in blocks])
@@ -686,7 +674,7 @@ def test_replicate_task_matches_direct_call():
     sched = RateSchedule.constant(0.6, 3)
     task = MuseReplicateTask(proc, identity_reward(), sched)
     block = task.run_block(0, 7, derive_substream(41, (2,)))
-    ctx = est._compile_context(proc, identity_reward(), sched, LevelPolicy())
+    ctx = est._compile_context(proc, identity_reward(), sched)
     values, costs, levels = est._run_batch(0, None, 7, derive_substream(41, (2,)).generator, ctx)
     assert len(block) == 7
     assert np.array_equal(block.values, values)
@@ -694,7 +682,7 @@ def test_replicate_task_matches_direct_call():
     assert np.array_equal(block.top_levels, levels)
     assert block[3] == EstimatorSample(float(values[3]), int(levels[3]), int(costs[3]))
     # a one-replicate block is exactly one multi_stage_muse replicate
-    direct = multi_stage_muse(0, EMPTY_HISTORY, proc, identity_reward(), sched, stream=derive_substream(41, (2,)))
+    direct = multi_stage_muse(EMPTY_HISTORY, proc, identity_reward(), sched, stream=derive_substream(41, (2,)))
     via_task = task(2, derive_substream(41, (2,)))
     assert via_task == EstimatorSample(direct.value, direct.top_level, direct.cost)
 

@@ -229,8 +229,10 @@ def test_single_replicate_run():
 
 
 def test_map_replicated_guards():
-    with pytest.raises(ValueError):
-        map_replicated(EchoTask(), 0, seed=0)
+    # a bool or float count raises instead of running as another count
+    for n in (0, True, 2.5):
+        with pytest.raises(ValueError, match="n_replicates must be an integer >= 1"):
+            map_replicated(EchoTask(), n, seed=0)
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             map_replicated(EchoTask(), 5, seed=0, workers=workers)

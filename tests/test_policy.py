@@ -6,7 +6,7 @@ from scipy.special import ndtri
 
 import musemc.estimator as est
 import musemc.policy as pol
-from musemc.estimator import LevelPolicy, RateSchedule
+from musemc.estimator import RateSchedule
 from musemc.fixtures import deterministic_chain, mixing_three_stage
 from musemc.parallel import BLOCK_SIZE
 from musemc.policy import (
@@ -36,7 +36,7 @@ def config(horizon, inner=50, tolerance=None, alpha=0.05):
 def test_decide_stop_on_dominant_immediate_reward():
     chain = deterministic_chain((5.0, 1.0))
     hist = EMPTY_HISTORY.extended([5.0])
-    stop, decision = decide_stop(hist, 1, 5.0, chain, identity_reward(), config(2), derive_substream(0, (80,)))
+    stop, decision = decide_stop(hist, 5.0, chain, identity_reward(), config(2), derive_substream(0, (80,)))
     assert stop
     assert decision.decision == STOP
     assert decision.y_bar == 1.0  # the continuation is exactly the final value
@@ -49,7 +49,7 @@ def test_decide_stop_waits_for_a_dominant_continuation():
     hist = EMPTY_HISTORY.extended([2.0])
     for seed in range(100):
         stop, decision = decide_stop(
-            hist, 1, 2.0, chain, identity_reward(), config(2, tolerance=0.5), derive_substream(seed, (81,))
+            hist, 2.0, chain, identity_reward(), config(2, tolerance=0.5), derive_substream(seed, (81,))
         )
         assert not stop
         assert decision.decision == CONTINUE
@@ -58,23 +58,21 @@ def test_decide_stop_waits_for_a_dominant_continuation():
 def test_decide_stop_guards():
     chain = deterministic_chain((5.0, 1.0))
     hist = EMPTY_HISTORY.extended([5.0])
-    with pytest.raises(ValueError):
-        decide_stop(hist, 2, 5.0, chain, identity_reward(), config(2), derive_substream(0, (82,)))
     full = hist.extended([1.0])
     with pytest.raises(ValueError):
-        decide_stop(full, 2, 1.0, chain, identity_reward(), config(2), derive_substream(0, (82,)))
+        decide_stop(full, 1.0, chain, identity_reward(), config(2), derive_substream(0, (82,)))
     # the history is validated as multi_stage_muse validates it; an i.i.d.
     # Gaussian stepper ignores its parents, so nothing downstream would catch these
     for state in ([0.5, 1.0], [float("nan")]):
         with pytest.raises(ValueError, match="history state at stage 1"):
-            decide_stop(EMPTY_HISTORY.extended(state), 1, 0.5, gaussian_iid(horizon=2), identity_reward(), config(2), derive_substream(0, (82,)))
+            decide_stop(EMPTY_HISTORY.extended(state), 0.5, gaussian_iid(horizon=2), identity_reward(), config(2), derive_substream(0, (82,)))
 
 
 def test_row_wise_decisions_match_one_row_reductions():
     """Each row's mean and se equal the 1-d reductions of its slice of one inner batch."""
     proc = mixing_three_stage()
     cfg = config(3, inner=7)
-    ctx = est._compile_context(proc, identity_reward(), cfg.schedule, LevelPolicy())
+    ctx = est._compile_context(proc, identity_reward(), cfg.schedule)
     states = np.array([[-2.0], [-1.0], [1.0], [2.0], [1.0]])
     fx = np.array([0.5, 0.0, 1.5, 1.0, -0.5])
     stop, decisions, costs = pol._decide(states, 1, fx, cfg, RandomStream(97).generator, ctx)

@@ -283,6 +283,15 @@ def test_process_spec_from_dict_errors():
         process_spec_from_dict({"horizon": 2})
     with pytest.raises(ValueError):
         process_spec_from_dict({"kind": "poisson", "horizon": 2})
+    with pytest.raises(ValueError, match=r"unknown process config key\(s\): 'dimesion'"):
+        process_spec_from_dict({"kind": "gaussian", "horizon": 3, "dimesion": 2})
+    # a chain's horizon and dimension, when given, must be its transition count and 1
+    chain = {"kind": "UserDiscrete", "support": [0, 1], "transitions": [[0.5, 0.5], [[1, 0], [0, 1]]]}
+    with pytest.raises(ValueError, match=r"transitions must have one entry per stage \(7\), got 2"):
+        process_spec_from_dict({**chain, "horizon": 7})
+    with pytest.raises(ValueError, match="scalar"):
+        process_spec_from_dict({**chain, "dimension": 2})
+    assert process_spec_from_dict({**chain, "horizon": 2, "dimension": 1}) == process_spec_from_dict(chain)
 
 
 @pytest.mark.parametrize(

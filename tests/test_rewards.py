@@ -104,6 +104,8 @@ def test_reward_spec_from_dict():
         reward_spec_from_dict({"strike": 95})
     with pytest.raises(ValueError):
         reward_spec_from_dict({"kind": "lookback"})
+    with pytest.raises(ValueError, match=r"unknown reward config key\(s\): 'discunt'"):
+        reward_spec_from_dict({"kind": "basket-put", "strike": 95, "discunt": 0.02, "times": [1, 2]})
 
 
 def test_load_reward_spec(tmp_path):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -55,7 +56,15 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``muse`` parser, built once per process.
+
+    Each subcommand binds its handler here, once.  Nothing that tests or
+    tracers patch is bound: ``run_replicated``, ``_run_episodes``,
+    ``summarize``, ``bootstrap_ci`` and ``run_stopping_policy`` are module
+    globals that the handlers look up at call time.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed keying every stream in the run")
     common.add_argument("--workers", type=int, default=None, help="worker processes (MUSE_WORKERS overrides)")

@@ -7,18 +7,20 @@ substream ``(b,)``, and runs as one ``task.run_block(start, count, stream)``
 call.  Estimator replicates (``MuseReplicateTask``) and policy episodes
 (``PolicyEpisodeTask``) are both such block tasks.  The merged output is a
 function of the seed and ``BLOCK_SIZE`` alone -- bit-identical for any
-worker count.  Work is dealt to a process pool in contiguous chunks of
-whole blocks, one process per chunk at most, and each chunk's results are
-kept at its position.  A failing block aborts the run: the run reports the
-first index of the earliest failing block, the same at every worker count,
-and chunks not yet started never run.
+worker count.  Work is dealt in contiguous chunks of whole blocks, and each
+chunk's results are kept at its position.  Above one worker the calling
+process is one of the workers: a pool of the others, one process per chunk
+at most, runs chunks from the head, and the caller runs chunks from the
+tail that the pool has not started.  A failing block aborts the run: the
+run reports the first index of the earliest failing block, the same at
+every worker count, and chunks not yet started never run.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 from .streams import as_stream, check_int
@@ -110,8 +112,9 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
     raises, the run raises the ``ReplicateError`` of the earliest failing
     block, at every worker count, and chunks not yet started never run.
     An explicit ``workers`` is taken as given; ``None`` defers to
-    ``resolve_workers``.  Above one worker the pool holds ``min(workers,
-    chunks)`` processes; the manifest records the requested ``workers``.
+    ``resolve_workers``.  Above one worker the caller is a worker too, and
+    the pool holds ``min(workers - 1, chunks)`` processes; a one-chunk run
+    still goes to the pool.  The manifest records the requested ``workers``.
     ``task`` must be picklable when more than one worker is used.
     """
     check_int(n_replicates, "n_replicates")
@@ -132,13 +135,29 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
     if workers == 1:
         chunks = [_run_chunk(task, root, start, stop) for start, stop in spans]
     else:
-        # a fork-started pool forks all of its processes at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
+        # the caller is one of the workers: a fork-started pool of the others
+        # forks all of its processes at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers - 1, len(spans))) as pool:
             futures = [pool.submit(_run_chunk, task, root, start, stop) for start, stop in spans]
+            # the caller takes chunks from the tail that the pool has not
+            # started (cancel() is atomic with the pool marking a chunk
+            # running), never chunk 0, and stops at the first it cannot take
+            # or once a chunk has failed
+            for j in range(len(spans) - 1, 0, -1):
+                if any(fut.done() and fut.exception() for fut in futures[:j]) or not futures[j].cancel():
+                    break
+                futures[j] = Future()
+                try:
+                    futures[j].set_result(_run_chunk(task, root, *spans[j]))
+                except Exception as exc:  # noqa: BLE001 - raised below in chunk order
+                    futures[j].set_exception(exc)
+                    break
             wait(futures, return_when=FIRST_EXCEPTION)
             for fut in futures:
-                fut.cancel()  # a no-op on chunks already started, which include all before a failure
-            chunks = [fut.result() for fut in futures]
+                fut.cancel()  # a no-op on chunks already started or run here
+            # a chunk is left cancelled only once the run has failed, and the
+            # earliest failure in chunk order raises here
+            chunks = [fut.result() for fut in futures if not fut.cancelled()]
 
     results = []
     worker_times: dict[int, float] = {}

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .streams import as_generator, check_int, check_keys
+from .streams import as_generator, check_int, check_keys, check_recorded
 
 GAUSSIAN_IID = "GaussianIID"
 GBM = "GBM"
@@ -345,16 +345,20 @@ def simulate_paths(spec: ProcessSpec, n_paths: int, stream) -> np.ndarray:
 
 
 def process_spec_from_dict(data: dict) -> ProcessSpec:
-    """Build a ProcessSpec from a JSON-style mapping (see README for fields)."""
+    """Build a ProcessSpec from a JSON-style mapping (see README for fields).
+
+    A given field whose value the spec does not record -- one the kind
+    ignores, say -- is refused; every field ``asdict`` writes reads back.
+    """
     if "kind" not in data:
         raise ValueError("process config requires a 'kind' field")
     check_keys(data, [f.name for f in fields(ProcessSpec)], "process config")
     kind = _normalize_kind(data["kind"])
     if kind == GAUSSIAN_IID:
-        return gaussian_iid(horizon=data["horizon"], dimension=data.get("dimension", 1))
-    if kind == GBM:
+        spec = gaussian_iid(horizon=data["horizon"], dimension=data.get("dimension", 1))
+    elif kind == GBM:
         times = data["times"]
-        return gbm(
+        spec = gbm(
             dimension=data.get("dimension", 1),
             horizon=data.get("horizon", len(times)),
             gamma=float(data.get("gamma", 0.0)),
@@ -364,9 +368,12 @@ def process_spec_from_dict(data: dict) -> ProcessSpec:
             times=times,
             start_time=float(data.get("start_time", 0.0)),
         )
-    chain = user_discrete(data["support"], data["transitions"])
-    # a given horizon or dimension is checked against the transitions, not dropped
-    return replace(chain, horizon=data.get("horizon", chain.horizon), dimension=data.get("dimension", 1))
+    else:
+        chain = user_discrete(data["support"], data["transitions"])
+        # a given horizon or dimension is checked against the transitions, not dropped
+        spec = replace(chain, horizon=data.get("horizon", chain.horizon), dimension=data.get("dimension", 1))
+    check_recorded(data, spec, "process config")
+    return spec
 
 
 def load_process_spec(path) -> ProcessSpec:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .streams import check_keys
+from .streams import check_keys, check_recorded
 
 IDENTITY = "Identity"
 BASKET_PUT = "BasketPut"
@@ -83,16 +83,19 @@ def reward(spec: RewardSpec, stage: int, state) -> float:
 
 
 def reward_spec_from_dict(data: dict) -> RewardSpec:
-    """Build a RewardSpec from a JSON-style mapping."""
+    """Build a RewardSpec from a JSON-style mapping; a given field the spec does not record as given is refused."""
     if "kind" not in data:
         raise ValueError("reward config requires a 'kind' field")
     check_keys(data, [f.name for f in fields(RewardSpec)], "reward config")
     key = "".join(ch for ch in str(data["kind"]).lower() if ch.isalnum())
     if key == "identity":
-        return identity_reward()
-    if key in ("basketput", "put"):
-        return basket_put(data["strike"], data.get("discount", 0.0), data["times"])
-    raise ValueError(f"unknown reward kind {data['kind']!r}")
+        spec = identity_reward()
+    elif key in ("basketput", "put"):
+        spec = basket_put(data["strike"], data.get("discount", 0.0), data["times"])
+    else:
+        raise ValueError(f"unknown reward kind {data['kind']!r}")
+    check_recorded(data, spec, "reward config")
+    return spec
 
 
 def load_reward_spec(path) -> RewardSpec:

@@ -30,6 +30,19 @@ def check_keys(data, allowed, what: str) -> None:
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, sorted(unknown)))}")
 
 
+def check_recorded(data, spec, what: str) -> None:
+    """Raise a ValueError naming the first field of ``data`` (other than its kind) whose value ``spec`` does not
+    record, so a field the kind ignores is not dropped; lists and tuples compare alike."""
+    for key, given in data.items():
+        recorded = getattr(spec, key)
+        if key != "kind" and _as_tuples(given) != _as_tuples(recorded):
+            raise ValueError(f"{what} field {key!r} is {given!r}, but the {spec.kind} spec records {recorded!r}")
+
+
+def _as_tuples(value):
+    return tuple(map(_as_tuples, value)) if isinstance(value, (list, tuple)) else value
+
+
 class RandomStream:
     """A keyed random stream: ``(master_seed, path) -> generator``.
 

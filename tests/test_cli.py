@@ -218,6 +218,13 @@ def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsy
         (["estimate"], {"process": {"kind": "UserDiscrete", "support": [0, 1], "horizon": 7,
                                     "transitions": [[0.5, 0.5], [[1, 0], [0, 1]]]}},
          "transitions must have one entry per stage (7), got 2"),
+        # a field the kind ignores is refused, not dropped
+        (["estimate"], {"process": {"kind": "gaussian", "horizon": 2, "sigma": 5.0}},
+         "process config field 'sigma' is 5.0, but the GaussianIID spec records 0.0"),
+        (["stop"], {"process": {"kind": "gaussian", "horizon": 2, "times": [1, 2]}},
+         "process config field 'times' is [1, 2], but the GaussianIID spec records ()"),
+        (["estimate"], {"reward": {"kind": "identity", "strike": 90}},
+         "reward config field 'strike' is 90, but the Identity spec records 0.0"),
     ],
 )
 def test_fractional_integer_fields_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, config, message):

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 import time
 from concurrent.futures import Future
 
@@ -65,6 +66,47 @@ class MarkThenFailFirst:
             raise ValueError("first block fails")
         time.sleep(0.5)
         return list(range(start, start + count))
+
+
+class PidPerItem:
+    """Returns the pid of the process that ran each item; blocks can be made to take a while."""
+
+    def __init__(self, pause=0.0):
+        self.pause = pause
+
+    def run_block(self, start, count, stream):
+        time.sleep(self.pause)
+        return [os.getpid()] * count
+
+
+class ThreadPerItem:
+    """Returns the id of the thread that ran each item."""
+
+    def run_block(self, start, count, stream):
+        return [threading.get_ident()] * count
+
+
+class SlowStartPool:
+    """Stands in for the process pool: each chunk starts on a thread after a pause, unless cancelled first."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+
+        def start():
+            if fut.set_running_or_notify_cancel():
+                fut.set_result(fn(*args))
+
+        threading.Timer(0.05, start).start()
+        return fut
 
 
 def test_results_are_ordered_and_keyed_by_index():
@@ -193,6 +235,41 @@ def test_chunks_not_started_when_a_block_fails_never_run(tmp_path, monkeypatch, 
     # failed chunk, the chunk each worker is on, the pool's queue of
     # workers + 1 chunks and the one slot it refills as the failure comes back
     assert started == 1 if workers == 1 else started <= 2 * workers + 3
+
+
+def test_a_one_chunk_run_on_two_workers_runs_in_a_child():
+    results, manifest = map_replicated(PidPerItem(), 10, seed=0, workers=2)
+    assert manifest.chunk_size == BLOCK_SIZE and len(results) == 1
+    assert os.getpid() not in results[0]
+    assert len(set(results[0])) == 1
+
+
+@pytest.mark.parametrize("n, by_caller", [(10, [False]), (3 * BLOCK_SIZE, [False, True, True])])
+def test_the_caller_takes_every_chunk_the_pool_has_not_started_but_the_first(monkeypatch, n, by_caller):
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SlowStartPool)
+    results, _ = map_replicated(ThreadPerItem(), n, seed=0, workers=2)
+    assert [set(block) == {threading.get_ident()} for block in results] == by_caller
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_caller_is_one_of_the_workers(monkeypatch, workers):
+    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # sixteen one-block chunks
+    results, manifest = map_replicated(PidPerItem(pause=0.02), 16 * BLOCK_SIZE, seed=0, workers=workers)
+    pids = {pid for block in results for pid in block}
+    assert os.getpid() in pids
+    assert len(pids) <= workers
+    assert len(manifest.worker_replicates) == len(pids)
+    assert sum(manifest.worker_replicates.values()) == 16 * BLOCK_SIZE
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failure_in_the_last_chunk_reports_its_block(workers):
+    """At two or more workers the caller runs the last chunk; the chunks then cancelled before it are not reported."""
+    n = 4 * BLOCK_SIZE + 3
+    with pytest.raises(ReplicateError) as err:
+        map_replicated(FailAt(4 * BLOCK_SIZE + 1), n, seed=0, workers=workers)
+    assert err.value.index == 4 * BLOCK_SIZE
+    assert "in block 4" in str(err.value)
 
 
 def test_replicate_error_survives_pickling():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -276,6 +277,9 @@ def test_process_spec_from_dict_variants():
         {"kind": "UserDiscrete", "support": [0, 1], "transitions": [[0.5, 0.5], [[1, 0], [0, 1]]]}
     )
     assert d.horizon == 2 and d.support == (0.0, 1.0)
+    # what asdict records, written as JSON, reads back as the same spec
+    for spec in (g, b, d):
+        assert process_spec_from_dict(json.loads(json.dumps(asdict(spec)))) == spec
 
 
 def test_process_spec_from_dict_errors():
@@ -292,6 +296,14 @@ def test_process_spec_from_dict_errors():
     with pytest.raises(ValueError, match="scalar"):
         process_spec_from_dict({**chain, "dimension": 2})
     assert process_spec_from_dict({**chain, "horizon": 2, "dimension": 1}) == process_spec_from_dict(chain)
+    # a field the kind ignores is refused unless it holds the value the spec records
+    with pytest.raises(ValueError, match=r"process config field 'sigma' is 5.0, but the GaussianIID spec records 0.0"):
+        process_spec_from_dict({"kind": "gaussian", "horizon": 2, "sigma": 5.0})
+    with pytest.raises(ValueError, match=r"process config field 'times' is \[1, 2\], but the GaussianIID spec records \(\)"):
+        process_spec_from_dict({"kind": "gaussian", "horizon": 2, "times": [1, 2]})
+    with pytest.raises(ValueError, match=r"process config field 'spot' is 100"):
+        process_spec_from_dict({**chain, "spot": 100})
+    assert process_spec_from_dict({"kind": "gaussian", "horizon": 2, "sigma": 0, "times": []}) == gaussian_iid(horizon=2)
 
 
 @pytest.mark.parametrize(

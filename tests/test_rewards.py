@@ -106,6 +106,10 @@ def test_reward_spec_from_dict():
         reward_spec_from_dict({"kind": "lookback"})
     with pytest.raises(ValueError, match=r"unknown reward config key\(s\): 'discunt'"):
         reward_spec_from_dict({"kind": "basket-put", "strike": 95, "discunt": 0.02, "times": [1, 2]})
+    # a field the kind ignores is refused unless it holds the value the spec records
+    with pytest.raises(ValueError, match="reward config field 'strike' is 90, but the Identity spec records 0.0"):
+        reward_spec_from_dict({"kind": "identity", "strike": 90})
+    assert reward_spec_from_dict({"kind": "identity", "strike": 0, "times": []}) == identity_reward()
 
 
 def test_load_reward_spec(tmp_path):

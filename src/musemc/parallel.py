@@ -9,9 +9,9 @@ call.  Estimator replicates (``MuseReplicateTask``) and policy episodes
 function of the seed and ``BLOCK_SIZE`` alone -- bit-identical for any
 worker count.  Work is dealt in contiguous chunks of whole blocks, and each
 chunk's results are kept at its position.  Above one worker the calling
-process is one of the workers: a pool of the others, one process per chunk
-at most, runs chunks from the head, and the caller runs chunks from the
-tail that the pool has not started.  A failing block aborts the run: the
+process is one of the workers: it and a pool of the others (one process
+per chunk at most) take chunks in order, the caller each chunk after the
+first that the pool has not started.  A failing block aborts the run: the
 run reports the first index of the earliest failing block, the same at
 every worker count, and chunks not yet started never run.
 """
@@ -139,13 +139,15 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
         # forks all of its processes at the first submit
         with ProcessPoolExecutor(max_workers=min(workers - 1, len(spans))) as pool:
             futures = [pool.submit(_run_chunk, task, root, start, stop) for start, stop in spans]
-            # the caller takes chunks from the tail that the pool has not
-            # started (cancel() is atomic with the pool marking a chunk
-            # running), never chunk 0, and stops at the first it cannot take
-            # or once a chunk has failed
-            for j in range(len(spans) - 1, 0, -1):
-                if any(fut.done() and fut.exception() for fut in futures[:j]) or not futures[j].cancel():
+            # the caller takes, in order, each chunk after the first that the
+            # pool has not started (cancel() is atomic with the pool marking a
+            # chunk running), so the started chunks are always a prefix, as
+            # at one worker; it takes none once a chunk has failed
+            for j in range(1, len(spans)):
+                if any(fut.done() and fut.exception() for fut in futures[:j]):
                     break
+                if not futures[j].cancel():
+                    continue  # started by the pool
                 futures[j] = Future()
                 try:
                     futures[j].set_result(_run_chunk(task, root, *spans[j]))

@@ -370,7 +370,8 @@ def process_spec_from_dict(data: dict) -> ProcessSpec:
         )
     else:
         chain = user_discrete(data["support"], data["transitions"])
-        # a given horizon or dimension is checked against the transitions, not dropped
+        # re-validated with a given horizon or dimension, so one that is not the
+        # transition count and 1, or is not an integer (2.0, True), is refused
         spec = replace(chain, horizon=data.get("horizon", chain.horizon), dimension=data.get("dimension", 1))
     check_recorded(data, spec, "process config")
     return spec

@@ -68,6 +68,20 @@ class MarkThenFailFirst:
         return list(range(start, start + count))
 
 
+class SlowFirstFailAt:
+    """Block 0 takes a while; the given blocks fail at once."""
+
+    def __init__(self, bad_blocks):
+        self.bad_blocks = bad_blocks
+
+    def run_block(self, start, count, stream):
+        if start == 0:
+            time.sleep(0.3)
+        if start // BLOCK_SIZE in self.bad_blocks:
+            raise ValueError("synthetic divergence")
+        return list(range(start, start + count))
+
+
 class PidPerItem:
     """Returns the pid of the process that ran each item; blocks can be made to take a while."""
 
@@ -237,13 +251,6 @@ def test_chunks_not_started_when_a_block_fails_never_run(tmp_path, monkeypatch, 
     assert started == 1 if workers == 1 else started <= 2 * workers + 3
 
 
-def test_a_one_chunk_run_on_two_workers_runs_in_a_child():
-    results, manifest = map_replicated(PidPerItem(), 10, seed=0, workers=2)
-    assert manifest.chunk_size == BLOCK_SIZE and len(results) == 1
-    assert os.getpid() not in results[0]
-    assert len(set(results[0])) == 1
-
-
 @pytest.mark.parametrize("n, by_caller", [(10, [False]), (3 * BLOCK_SIZE, [False, True, True])])
 def test_the_caller_takes_every_chunk_the_pool_has_not_started_but_the_first(monkeypatch, n, by_caller):
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", SlowStartPool)
@@ -251,23 +258,32 @@ def test_the_caller_takes_every_chunk_the_pool_has_not_started_but_the_first(mon
     assert [set(block) == {threading.get_ident()} for block in results] == by_caller
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_the_caller_is_one_of_the_workers(monkeypatch, workers):
-    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # sixteen one-block chunks
-    results, manifest = map_replicated(PidPerItem(pause=0.02), 16 * BLOCK_SIZE, seed=0, workers=workers)
+@pytest.mark.parametrize("workers, chunks", [(2, 1), (2, 16), (3, 16)])
+def test_the_caller_is_one_of_the_workers_unless_the_run_is_one_chunk(monkeypatch, workers, chunks):
+    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one-block chunks
+    results, manifest = map_replicated(PidPerItem(pause=0.02), chunks * BLOCK_SIZE, seed=0, workers=workers)
     pids = {pid for block in results for pid in block}
-    assert os.getpid() in pids
+    assert (os.getpid() in pids) == (chunks > 1)
     assert len(pids) <= workers
     assert len(manifest.worker_replicates) == len(pids)
-    assert sum(manifest.worker_replicates.values()) == 16 * BLOCK_SIZE
+    assert sum(manifest.worker_replicates.values()) == chunks * BLOCK_SIZE
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_failure_in_the_last_chunk_reports_its_block(workers):
-    """At two or more workers the caller runs the last chunk; the chunks then cancelled before it are not reported."""
     n = 4 * BLOCK_SIZE + 3
     with pytest.raises(ReplicateError) as err:
         map_replicated(FailAt(4 * BLOCK_SIZE + 1), n, seed=0, workers=workers)
+    assert err.value.index == 4 * BLOCK_SIZE
+    assert "in block 4" in str(err.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_earliest_of_two_failing_blocks_is_reported_while_the_first_runs_on(monkeypatch, workers):
+    """The pool is held up on block 0 while the caller runs on; block 4 fails before block 7 can."""
+    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one-block chunks
+    with pytest.raises(ReplicateError) as err:
+        map_replicated(SlowFirstFailAt((4, 7)), 8 * BLOCK_SIZE, seed=0, workers=workers)
     assert err.value.index == 4 * BLOCK_SIZE
     assert "in block 4" in str(err.value)
 

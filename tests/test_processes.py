@@ -296,6 +296,9 @@ def test_process_spec_from_dict_errors():
     with pytest.raises(ValueError, match="scalar"):
         process_spec_from_dict({**chain, "dimension": 2})
     assert process_spec_from_dict({**chain, "horizon": 2, "dimension": 1}) == process_spec_from_dict(chain)
+    for field, value in (("horizon", 2.0), ("dimension", True)):  # equal to the recorded value, but no integer
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got {value}"):
+            process_spec_from_dict({**chain, field: value})
     # a field the kind ignores is refused unless it holds the value the spec records
     with pytest.raises(ValueError, match=r"process config field 'sigma' is 5.0, but the GaussianIID spec records 0.0"):
         process_spec_from_dict({"kind": "gaussian", "horizon": 2, "sigma": 5.0})

@@ -8,8 +8,9 @@ put under GBM), and ``stop`` (episodes of the estimator-driven stopping
 policy).  Every command honors ``--seed``, ``--workers`` (overridden by the
 ``MUSE_WORKERS`` environment variable) and ``--out-dir``; ``estimate`` and
 ``stop`` also read ``--config``.  ``main`` creates ``--out-dir`` before any
-replicate runs, so an unusable directory fails at once.  The commands share
-one pipeline: flags become an instance and a rate schedule
+replicate runs, so an unusable directory fails at once; a bad flag and a
+failing replicate alike end in one ``error:`` line and exit status 1.  The
+commands share one pipeline: flags become an instance and a rate schedule
 (``_resolve_instance``, ``_resolve_schedule``), and ``_run`` runs and
 summarizes the replicates.  ``bermudan`` is ``estimate``'s handler with GBM
 and basket-put defaults and a CLT interval.  Every harness run stores
@@ -33,7 +34,7 @@ import numpy as np
 from .baselines import TreeSpec, gaussian_dp_oracle, mc1_estimate, mc2_estimate
 from .estimator import MuseReplicateTask, RateSchedule, theoretical_rate_schedule
 from .inference import bootstrap_ci, check_interval_args, clt_ci, self_normalized_variance, summarize, summary_to_json
-from .parallel import run_replicated, resolve_workers
+from .parallel import ReplicateError, run_replicated, resolve_workers
 from .policy import PolicyConfig, _run_episodes, run_stopping_policy, write_episode_log  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
 from .processes import gaussian_iid, gbm, process_spec_from_dict
 from .rewards import basket_put, identity_reward, reward_spec_from_dict
@@ -51,7 +52,7 @@ def main(argv=None) -> int:
         args.workers = resolve_workers(args.workers)
         os.makedirs(args.out_dir, exist_ok=True)
         return args.handler(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, ReplicateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

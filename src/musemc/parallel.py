@@ -9,18 +9,20 @@ call.  Estimator replicates (``MuseReplicateTask``) and policy episodes
 function of the seed and ``BLOCK_SIZE`` alone -- bit-identical for any
 worker count.  Work is dealt in contiguous chunks of whole blocks, and each
 chunk's results are kept at its position.  Above one worker the calling
-process is one of the workers: it and a pool of the others (one process
-per chunk at most) take chunks in order, the caller each chunk after the
-first that the pool has not started.  A failing block aborts the run: the
-run reports the first index of the earliest failing block, the same at
-every worker count, and chunks not yet started never run.
+process is one of the workers, beside forked children (one per chunk
+after the first, at most): the first child starts on chunk 0, and each
+worker then claims the next chunk from one shared counter.  A failing
+block aborts the run: it pushes the counter past the last chunk, so no
+worker claims another, and the run reports the first index of the earliest
+failing block, the same at every worker count.  A child that dies without
+reporting makes the run raise at the earliest chunk left without a result.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 from .streams import as_stream, check_int
@@ -28,6 +30,7 @@ from .streams import as_stream, check_int
 BLOCK_SIZE = 256  # items per keyed block
 DEFAULT_CHUNK = 64  # cap on the blocks in a chunk
 WORKERS_ENV = "MUSE_WORKERS"
+_FORK = multiprocessing.get_context("fork")  # children inherit the task and the loaded modules; only results are pickled
 
 
 class ReplicateError(RuntimeError):
@@ -103,6 +106,30 @@ def _run_chunk(task, master_seed, start, stop):
     return out, os.getpid(), time.perf_counter() - t0
 
 
+def _work(task, root, spans, claims, first=None, send=None):
+    """One harness worker: run chunk ``first`` if given, then claim chunks in
+    order from the shared counter ``claims`` until it runs past the last (a
+    failure pushes it there).  Returns, or sends down ``send`` as a child
+    exits, ``{chunk: _run_chunk's return or the exception it raised}``."""
+    done, j = {}, first
+    while True:
+        if j is None:
+            with claims.get_lock():
+                j = claims.value
+                claims.value += 1
+            if j >= len(spans):
+                break
+        try:
+            done[j] = _run_chunk(task, root, *spans[j])
+        except Exception as exc:  # noqa: BLE001 - raised by the caller in chunk order
+            done[j] = exc
+            claims.value = len(spans)
+        j = None
+    if send is not None:
+        send.send(done)
+    return done
+
+
 def map_replicated(task, n_replicates: int, seed, workers: int | None = None, config: dict | None = None):
     """Run ``task`` over items 0..n-1; returns (results, manifest).
 
@@ -110,12 +137,15 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
     ``b`` is one ``task.run_block(start_b, count_b, stream_b)`` call, and
     ``results`` holds one result per block, in block order.  If any block
     raises, the run raises the ``ReplicateError`` of the earliest failing
-    block, at every worker count, and chunks not yet started never run.
+    block, at every worker count, and no worker claims a chunk after it.
     An explicit ``workers`` is taken as given; ``None`` defers to
-    ``resolve_workers``.  Above one worker the caller is a worker too, and
-    the pool holds ``min(workers - 1, chunks)`` processes; a one-chunk run
-    still goes to the pool.  The manifest records the requested ``workers``.
-    ``task`` must be picklable when more than one worker is used.
+    ``resolve_workers``.  Above one worker the caller is a worker too,
+    beside ``min(workers - 1, max(1, chunks - 1))`` forked children; a
+    one-chunk run still goes to a child.  A child that dies raises a
+    ``ReplicateError`` at the first index of the earliest chunk left without
+    a result, naming its pid and exit code.  The manifest records the
+    requested ``workers``.  Block results must be picklable when more than
+    one worker is used.
     """
     check_int(n_replicates, "n_replicates")
     root = as_stream(seed)
@@ -135,31 +165,34 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
     if workers == 1:
         chunks = [_run_chunk(task, root, start, stop) for start, stop in spans]
     else:
-        # the caller is one of the workers: a fork-started pool of the others
-        # forks all of its processes at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers - 1, len(spans))) as pool:
-            futures = [pool.submit(_run_chunk, task, root, start, stop) for start, stop in spans]
-            # the caller takes, in order, each chunk after the first that the
-            # pool has not started (cancel() is atomic with the pool marking a
-            # chunk running), so the started chunks are always a prefix, as
-            # at one worker; it takes none once a chunk has failed
-            for j in range(1, len(spans)):
-                if any(fut.done() and fut.exception() for fut in futures[:j]):
-                    break
-                if not futures[j].cancel():
-                    continue  # started by the pool
-                futures[j] = Future()
+        claims = _FORK.Value("q", 1)  # the first child starts on chunk 0; each worker, the caller too, claims the rest
+        children, lost = [], []
+        try:
+            for k in range(min(workers - 1, max(1, len(spans) - 1))):
+                receive, send = _FORK.Pipe(duplex=False)
+                child = _FORK.Process(target=_work, args=(task, root, spans, claims, 0 if k == 0 else None, send))
+                child.start()
+                send.close()
+                children.append((child, receive))
+            done = _work(task, root, spans, claims)
+            for child, receive in children:
                 try:
-                    futures[j].set_result(_run_chunk(task, root, *spans[j]))
-                except Exception as exc:  # noqa: BLE001 - raised below in chunk order
-                    futures[j].set_exception(exc)
-                    break
-            wait(futures, return_when=FIRST_EXCEPTION)
-            for fut in futures:
-                fut.cancel()  # a no-op on chunks already started or run here
-            # a chunk is left cancelled only once the run has failed, and the
-            # earliest failure in chunk order raises here
-            chunks = [fut.result() for fut in futures if not fut.cancelled()]
+                    done.update(receive.recv())
+                except EOFError:  # the child died before it could send
+                    child.join()
+                    lost.append(f"worker process {child.pid} exited with code {child.exitcode}")
+        finally:
+            claims.value = len(spans)  # on any way out, no worker claims another chunk
+            for child, receive in children:
+                receive.close()
+                child.join()
+                child.close()
+        # a claimed chunk always runs, so the chunks started are a prefix and
+        # the earliest failure in chunk order is the one one worker would meet
+        chunks = [done.get(j) for j in range(len(spans))]
+        for (start, _), out in zip(spans, chunks):
+            if not isinstance(out, tuple):  # a chunk that failed, or that a dead child took
+                raise out or ReplicateError(start, "; ".join(lost))
 
     results = []
     worker_times: dict[int, float] = {}

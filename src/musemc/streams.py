@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
+import numpy.random  # noqa: F401 - loaded at import, so forked workers inherit it instead of loading it at their first draw
 
 __all__ = ["RandomStream", "as_stream", "derive_substream"]
 

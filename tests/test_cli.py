@@ -13,7 +13,7 @@ import musemc
 import musemc.cli as cli
 from musemc.cli import _build_parser, _rate_grid, main
 from musemc.fixtures import mixing_three_stage
-from musemc.parallel import BLOCK_SIZE
+from musemc.parallel import BLOCK_SIZE, ReplicateError
 
 
 def run(args):
@@ -269,6 +269,17 @@ def test_nonpositive_muse_workers_fails_before_any_replicate_runs(tmp_path, monk
     assert run(argv + ["--out-dir", out]) == 1
     assert capsys.readouterr().err == f"error: MUSE_WORKERS must be a positive integer, got {env}\n"
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["estimate", "tune-rate", "gaussian-suite", "bermudan", "stop"])
+def test_a_failing_replicate_is_an_error_line_not_a_traceback(tmp_path, monkeypatch, capsys, command):
+    def diverge(*args, **kwargs):
+        raise ReplicateError(512, "in block 2: FloatingPointError: overflow")
+
+    monkeypatch.setattr(cli, "run_replicated", diverge)
+    monkeypatch.setattr(cli, "_run_episodes", diverge)
+    assert run([command, "--out-dir", tmp_path]) == 1
+    assert capsys.readouterr().err == "error: replicate 512 failed: in block 2: FloatingPointError: overflow\n"
 
 
 def test_rate_counts_must_match_the_horizon(tmp_path):

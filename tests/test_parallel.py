@@ -1,8 +1,7 @@
 import json
+import multiprocessing
 import os
-import threading
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -19,6 +18,13 @@ from musemc.parallel import (
 )
 from musemc.rewards import identity_reward
 from musemc.streams import derive_substream
+
+
+@pytest.fixture(autouse=True)
+def _no_process_left_behind():
+    """Every run, passing or failing, joins each process it started."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def fixture_task():
@@ -93,34 +99,37 @@ class PidPerItem:
         return [os.getpid()] * count
 
 
-class ThreadPerItem:
-    """Returns the id of the thread that ran each item."""
+class PidPerItemSlowFirst(PidPerItem):
+    """``PidPerItem`` whose block 0 takes a while."""
 
     def run_block(self, start, count, stream):
-        return [threading.get_ident()] * count
+        if start == 0:
+            time.sleep(0.3)
+        return super().run_block(start, count, stream)
 
 
-class SlowStartPool:
-    """Stands in for the process pool: each chunk starts on a thread after a pause, unless cancelled first."""
+class MarkOnce:
+    """Creates one marker file per block, and fails if its block's marker already exists."""
 
-    def __init__(self, max_workers):
-        pass
+    def __init__(self, directory):
+        self.directory = directory
 
-    def __enter__(self):
-        return self
+    def run_block(self, start, count, stream):
+        (self.directory / f"block-{start // BLOCK_SIZE}").open("x").close()
+        return list(range(start, start + count))
 
-    def __exit__(self, *exc):
-        return False
 
-    def submit(self, fn, *args):
-        fut = Future()
+class ExitInChildAt:
+    """The block holding ``bad_index`` ends its process with exit code 3 when that is not the calling process."""
 
-        def start():
-            if fut.set_running_or_notify_cancel():
-                fut.set_result(fn(*args))
+    def __init__(self, bad_index):
+        self.bad_index = bad_index
+        self.home = os.getpid()
 
-        threading.Timer(0.05, start).start()
-        return fut
+    def run_block(self, start, count, stream):
+        if start <= self.bad_index < start + count and os.getpid() != self.home:
+            os._exit(3)
+        return list(range(start, start + count))
 
 
 def test_results_are_ordered_and_keyed_by_index():
@@ -251,11 +260,38 @@ def test_chunks_not_started_when_a_block_fails_never_run(tmp_path, monkeypatch, 
     assert started == 1 if workers == 1 else started <= 2 * workers + 3
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_no_worker_claims_a_chunk_once_a_block_has_failed(tmp_path, monkeypatch, workers):
+    """Block 0 fails at once and every other block takes a while: each worker starts at most one block."""
+    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one block per chunk
+    with pytest.raises(ReplicateError) as err:
+        map_replicated(MarkThenFailFirst(tmp_path), 16 * BLOCK_SIZE, seed=0, workers=workers)
+    assert err.value.index == 0
+    assert len(list(tmp_path.iterdir())) <= workers
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_worker_that_dies_fails_the_run_at_its_chunk(workers):
+    with pytest.raises(ReplicateError) as err:
+        map_replicated(ExitInChildAt(5), 4 * BLOCK_SIZE, seed=0, workers=workers)
+    assert err.value.index == 0
+    assert "exited with code 3" in str(err.value)
+
+
+def test_more_workers_than_cores_claim_every_chunk_exactly_once(tmp_path, monkeypatch):
+    """Eight workers race for 64 one-block chunks; a lost update on the counter would run a block twice or never."""
+    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one block per chunk
+    results, manifest = map_replicated(MarkOnce(tmp_path), 64 * BLOCK_SIZE, seed=0, workers=8)
+    assert results == [list(range(a, a + BLOCK_SIZE)) for a in range(0, 64 * BLOCK_SIZE, BLOCK_SIZE)]
+    assert len(list(tmp_path.iterdir())) == 64
+    assert sum(manifest.worker_replicates.values()) == 64 * BLOCK_SIZE
+
+
 @pytest.mark.parametrize("n, by_caller", [(10, [False]), (3 * BLOCK_SIZE, [False, True, True])])
-def test_the_caller_takes_every_chunk_the_pool_has_not_started_but_the_first(monkeypatch, n, by_caller):
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SlowStartPool)
-    results, _ = map_replicated(ThreadPerItem(), n, seed=0, workers=2)
-    assert [set(block) == {threading.get_ident()} for block in results] == by_caller
+def test_the_caller_takes_every_chunk_the_pool_has_not_started_but_the_first(n, by_caller):
+    """One-block chunks: the child starts on chunk 0, which takes a while, and the caller claims every later one."""
+    results, _ = map_replicated(PidPerItemSlowFirst(), n, seed=0, workers=2)
+    assert [set(block) == {os.getpid()} for block in results] == by_caller
 
 
 @pytest.mark.parametrize("workers, chunks", [(2, 1), (2, 16), (3, 16)])
@@ -280,7 +316,7 @@ def test_a_failure_in_the_last_chunk_reports_its_block(workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_the_earliest_of_two_failing_blocks_is_reported_while_the_first_runs_on(monkeypatch, workers):
-    """The pool is held up on block 0 while the caller runs on; block 4 fails before block 7 can."""
+    """The first child is held up on block 0 while the caller runs on; block 4 fails before block 7 can."""
     monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one-block chunks
     with pytest.raises(ReplicateError) as err:
         map_replicated(SlowFirstFailAt((4, 7)), 8 * BLOCK_SIZE, seed=0, workers=workers)
@@ -334,31 +370,21 @@ def test_map_replicated_guards():
 
 
 def test_the_pool_starts_no_more_processes_than_there_are_chunks(monkeypatch):
-    """A fake pool records its size and runs each chunk here, so no process starts."""
-    sizes = []
+    """One child per chunk after the first, at most, and one for a one-chunk run."""
+    starts = []
+    start = multiprocessing.context.ForkProcess.start
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted_start(process):
+        starts.append(process)
+        start(process)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted_start)
     small, manifest = map_replicated(EchoTask(), 10, seed=4, workers=64)
-    assert sizes == [1]
+    assert len(starts) == 1
     assert manifest.workers == 64
     assert small == map_replicated(EchoTask(), 10, seed=4, workers=1)[0]
     three, manifest = map_replicated(EchoTask(), 3 * BLOCK_SIZE, seed=4, workers=64)
-    assert sizes == [1, 3]
+    assert len(starts) == 1 + 2
     assert manifest.workers == 64
     assert three == map_replicated(EchoTask(), 3 * BLOCK_SIZE, seed=4, workers=1)[0]
 

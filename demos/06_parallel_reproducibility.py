@@ -5,7 +5,7 @@ no synchronization or bias correction.  The harness cuts a run into blocks
 of BLOCK_SIZE replicates and keys block b to the substream (b,) of a single
 master seed, running each block as one vectorized batch.  The numbers a
 replicate sees depend only on its index, the block size and the run
-length -- not on which worker ran it, the chunking, or the worker count.
+length -- not on which worker claimed its block, or the worker count.
 This script runs the same 2 000-replicate job three ways and checks the
 per-replicate values agree to the last bit, then shows the run manifest
 that records everything needed to reproduce the batch, block size

@@ -48,16 +48,14 @@ from .processes import (
     EMPTY_HISTORY,
     ProcessSpec,
     TrajectoryHistory,
-    exact_conditional_mean,
     gaussian_iid,
     gbm,
-    load_process_spec,
     process_spec_from_dict,
     sample_next,
     simulate_paths,
     user_discrete,
 )
-from .rewards import RewardSpec, basket_put, identity_reward, load_reward_spec, reward, reward_spec_from_dict
+from .rewards import RewardSpec, basket_put, identity_reward, reward, reward_spec_from_dict
 from .streams import RandomStream, derive_substream
 
 __version__ = "0.1.0"

@@ -162,7 +162,12 @@ def _load_config(args) -> dict:
         return {}
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
     check_keys(config, ("process", "reward"), "config")
+    for key, value in config.items():
+        if not isinstance(value, dict):
+            raise ValueError(f"config {key!r} must be a JSON object, got {type(value).__name__}")
     return config
 
 
@@ -286,6 +291,8 @@ def _cmd_tune_rate(args) -> int:
         raise ValueError("step must be positive")
     if args.replicates < 2:
         raise ValueError("tune-rate needs at least two replicates per rate to estimate a variance")
+    if args.horizon < 2:
+        raise ValueError("tune-rate needs --horizon >= 2: below it no level is drawn, so every rate gives the same replicates")
     process = gaussian_iid(horizon=args.horizon)
     reward_spec = identity_reward()
     grid = _rate_grid(args.r_min, args.r_max, args.step)

@@ -387,7 +387,9 @@ def estimate_utility(
 
 
 class MuseReplicateTask:
-    """Picklable estimator job for the harness.
+    """Estimator job for the harness.  Forked workers inherit the task, so
+    the harness never pickles it; it stays picklable because perfbench's
+    tracer pickles it to size its payload counts.
 
     ``run_block(start, count, stream)`` runs ``count`` replicates as one
     batch on ``stream`` (the replicates are exchangeable, so ``start`` is

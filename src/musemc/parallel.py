@@ -7,15 +7,16 @@ substream ``(b,)``, and runs as one ``task.run_block(start, count, stream)``
 call.  Estimator replicates (``MuseReplicateTask``) and policy episodes
 (``PolicyEpisodeTask``) are both such block tasks.  The merged output is a
 function of the seed and ``BLOCK_SIZE`` alone -- bit-identical for any
-worker count.  Work is dealt in contiguous chunks of whole blocks, and each
-chunk's results are kept at its position.  Above one worker the calling
-process is one of the workers, beside forked children (one per chunk
-after the first, at most): the first child starts on chunk 0, and each
-worker then claims the next chunk from one shared counter.  A failing
-block aborts the run: it pushes the counter past the last chunk, so no
-worker claims another, and the run reports the first index of the earliest
-failing block, the same at every worker count.  A child that dies without
-reporting makes the run raise at the earliest chunk left without a result.
+worker count.  The block is the one unit of work, and each block's result
+is kept at its position.  At one worker the caller runs the blocks in
+order.  Above one worker the calling process is one of the workers, beside
+forked children (one per block after the first, at most): the first child
+starts on block 0, and each worker then claims the next block, one at a
+time, from one shared counter.  A failing block aborts the run: it pushes
+the counter past the last block, so no worker starts another, and the run
+reports the first index of the earliest failing block, the same at every
+worker count.  A child that dies without reporting makes the run raise at
+the earliest block left without a result.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 from .streams import as_stream, check_int
 
 BLOCK_SIZE = 256  # items per keyed block
-DEFAULT_CHUNK = 64  # cap on the blocks in a chunk
 WORKERS_ENV = "MUSE_WORKERS"
 _FORK = multiprocessing.get_context("fork")  # children inherit the task and the loaded modules; only results are pickled
 
@@ -52,7 +52,8 @@ class ReplicateError(RuntimeError):
 class RunManifest:
     """Audit record of one harness run, serializable to JSON.
 
-    ``block_size`` is the number of items keyed to one substream.
+    ``block_size`` is the number of items keyed to one substream.  Workers
+    claim one block at a time, so ``chunk_size`` always equals it.
     """
 
     master_seed: int
@@ -88,29 +89,26 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def _run_chunk(task, master_seed, start, stop):
-    """Run the blocks covering items ``start..stop-1``; returns (results, pid, seconds).
+    """Run the block covering items ``start..stop-1``; returns (result, pid, seconds).
 
     ``master_seed`` is the run's root: an int seed or a ``RandomStream``.
-    ``start`` is a multiple of ``BLOCK_SIZE``, and there is one result per
-    block.
+    ``start`` is a multiple of ``BLOCK_SIZE``, and ``stop - start`` is at
+    most ``BLOCK_SIZE``.
     """
     t0 = time.perf_counter()
-    root = as_stream(master_seed)
-    out = []
-    for a in range(start, stop, BLOCK_SIZE):
-        block = a // BLOCK_SIZE
-        try:
-            out.append(task.run_block(a, min(BLOCK_SIZE, stop - a), root.child(block)))
-        except Exception as exc:  # noqa: BLE001 - reported with the block's first index
-            raise ReplicateError(a, f"in block {block}: {type(exc).__name__}: {exc}") from exc
+    block = start // BLOCK_SIZE
+    try:
+        out = task.run_block(start, stop - start, as_stream(master_seed).child(block))
+    except Exception as exc:  # noqa: BLE001 - reported with the block's first index
+        raise ReplicateError(start, f"in block {block}: {type(exc).__name__}: {exc}") from exc
     return out, os.getpid(), time.perf_counter() - t0
 
 
 def _work(task, root, spans, claims, first=None, send=None):
-    """One harness worker: run chunk ``first`` if given, then claim chunks in
+    """One harness worker: run block ``first`` if given, then claim blocks in
     order from the shared counter ``claims`` until it runs past the last (a
     failure pushes it there).  Returns, or sends down ``send`` as a child
-    exits, ``{chunk: _run_chunk's return or the exception it raised}``."""
+    exits, ``{block: _run_chunk's return or the exception it raised}``."""
     done, j = {}, first
     while True:
         if j is None:
@@ -121,7 +119,7 @@ def _work(task, root, spans, claims, first=None, send=None):
                 break
         try:
             done[j] = _run_chunk(task, root, *spans[j])
-        except Exception as exc:  # noqa: BLE001 - raised by the caller in chunk order
+        except Exception as exc:  # noqa: BLE001 - raised by the caller in block order
             done[j] = exc
             claims.value = len(spans)
         j = None
@@ -135,17 +133,18 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
 
     ``seed`` is an int or the ``RandomStream`` the run is rooted at.  Block
     ``b`` is one ``task.run_block(start_b, count_b, stream_b)`` call, and
-    ``results`` holds one result per block, in block order.  If any block
-    raises, the run raises the ``ReplicateError`` of the earliest failing
-    block, at every worker count, and no worker claims a chunk after it.
-    An explicit ``workers`` is taken as given; ``None`` defers to
-    ``resolve_workers``.  Above one worker the caller is a worker too,
-    beside ``min(workers - 1, max(1, chunks - 1))`` forked children; a
-    one-chunk run still goes to a child.  A child that dies raises a
-    ``ReplicateError`` at the first index of the earliest chunk left without
-    a result, naming its pid and exit code.  The manifest records the
-    requested ``workers``.  Block results must be picklable when more than
-    one worker is used.
+    ``results`` holds one result per block, in block order.  Every worker
+    claims one block at a time.  If any block raises, the run raises the
+    ``ReplicateError`` of the earliest failing block, at every worker count,
+    and no worker starts a block after it.  An explicit ``workers`` is taken
+    as given; ``None`` defers to ``resolve_workers``.  Above one worker the
+    caller is a worker too, beside ``min(workers - 1, max(1, blocks - 1))``
+    forked children; a one-block run still goes to a child.  A child that
+    dies raises a ``ReplicateError`` at the first index of the earliest
+    block left without a result, naming its pid and exit code.  The
+    manifest records the requested ``workers``, and its ``chunk_size`` is
+    ``BLOCK_SIZE``.  Block results must be picklable when more than one
+    worker is used.
     """
     check_int(n_replicates, "n_replicates")
     root = as_stream(seed)
@@ -155,17 +154,13 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
         check_int(workers, "workers")
     except ValueError:
         raise ValueError(f"workers must be a positive integer, got {workers!r}") from None
-    # chunks of whole blocks: small enough that workers stay busy, large
-    # enough to amortize dispatch
-    blocks = -(-n_replicates // BLOCK_SIZE)
-    chunk = BLOCK_SIZE * max(1, min(DEFAULT_CHUNK, -(-blocks // (4 * workers))))
-    spans = [(start, min(start + chunk, n_replicates)) for start in range(0, n_replicates, chunk)]
+    spans = [(start, min(start + BLOCK_SIZE, n_replicates)) for start in range(0, n_replicates, BLOCK_SIZE)]
     t0 = time.perf_counter()
 
     if workers == 1:
-        chunks = [_run_chunk(task, root, start, stop) for start, stop in spans]
+        blocks = [_run_chunk(task, root, start, stop) for start, stop in spans]
     else:
-        claims = _FORK.Value("q", 1)  # the first child starts on chunk 0; each worker, the caller too, claims the rest
+        claims = _FORK.Value("q", 1)  # the first child starts on block 0; each worker, the caller too, claims the rest
         children, lost = [], []
         try:
             for k in range(min(workers - 1, max(1, len(spans) - 1))):
@@ -182,23 +177,23 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
                     child.join()
                     lost.append(f"worker process {child.pid} exited with code {child.exitcode}")
         finally:
-            claims.value = len(spans)  # on any way out, no worker claims another chunk
+            claims.value = len(spans)  # on any way out, no worker claims another block
             for child, receive in children:
                 receive.close()
                 child.join()
                 child.close()
-        # a claimed chunk always runs, so the chunks started are a prefix and
-        # the earliest failure in chunk order is the one one worker would meet
-        chunks = [done.get(j) for j in range(len(spans))]
-        for (start, _), out in zip(spans, chunks):
-            if not isinstance(out, tuple):  # a chunk that failed, or that a dead child took
+        # a claimed block always runs, so the blocks started are a prefix and
+        # the earliest failure in block order is the one one worker would meet
+        blocks = [done.get(j) for j in range(len(spans))]
+        for (start, _), out in zip(spans, blocks):
+            if not isinstance(out, tuple):  # a block that failed, or that a dead child took
                 raise out or ReplicateError(start, "; ".join(lost))
 
     results = []
     worker_times: dict[int, float] = {}
     worker_counts: dict[int, int] = {}
-    for (start, stop), (out, pid, seconds) in zip(spans, chunks):
-        results += out
+    for (start, stop), (out, pid, seconds) in zip(spans, blocks):
+        results.append(out)
         worker_times[pid] = worker_times.get(pid, 0.0) + seconds
         worker_counts[pid] = worker_counts.get(pid, 0) + stop - start
     pids = sorted(worker_times)
@@ -206,7 +201,7 @@ def map_replicated(task, n_replicates: int, seed, workers: int | None = None, co
         master_seed=root.master_seed,
         total_replicates=n_replicates,
         workers=workers,
-        chunk_size=chunk,
+        chunk_size=BLOCK_SIZE,
         wall_time=time.perf_counter() - t0,
         worker_wall_times={f"worker-{rank}": worker_times[pid] for rank, pid in enumerate(pids)},
         worker_replicates={f"worker-{rank}": worker_counts[pid] for rank, pid in enumerate(pids)},

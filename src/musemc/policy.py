@@ -179,8 +179,10 @@ def _run_episodes(process, reward_spec, config, episodes, seed, workers, record=
 
 
 class PolicyEpisodeTask:
-    """Picklable harness job: ``run_block(start, count, stream)`` runs episodes
-    ``start`` .. ``start + count - 1`` together.
+    """Harness job: ``run_block(start, count, stream)`` runs episodes
+    ``start`` .. ``start + count - 1`` together.  Forked workers inherit the
+    task, so the harness never pickles it; it stays picklable because
+    perfbench's tracer pickles it to size its payload counts.
 
     Each stage's path draws cover every row of the block, stopped or not,
     from substream ``(0,)`` of ``stream``, so a path never depends on

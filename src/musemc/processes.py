@@ -21,7 +21,6 @@ in full).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -305,28 +304,6 @@ def sample_next(spec: ProcessSpec, history: TrajectoryHistory, count: int, strea
     return compile_stepper(spec)(history.stage + 1, parents, count, as_generator(stream))
 
 
-def exact_conditional_mean(spec: ProcessSpec, history: TrajectoryHistory, payoff_values) -> float:
-    """E[g(X_{k+1}) | history] for a UserDiscrete chain, by direct summation.
-
-    ``payoff_values`` gives g at each support point, in support order.
-    """
-    if spec.kind != USER_DISCRETE:
-        raise ValueError("exact conditional means are only available for UserDiscrete processes")
-    parent = _history_parent(spec, history)
-    payoff = np.asarray(payoff_values, dtype=float)
-    m = len(spec.support)
-    if payoff.shape != (m,):
-        raise ValueError(f"payoff_values must align with the support ({m} entries)")
-    if parent is None:
-        row = np.asarray(spec.transitions[0], dtype=float)
-    else:
-        matches = np.nonzero(np.asarray(spec.support, dtype=float) == parent[0, 0])[0]
-        if matches.size == 0:
-            raise ValueError("state value not in the process support")
-        row = np.asarray(spec.transitions[history.stage], dtype=float)[matches[0]]
-    return float(row @ payoff)
-
-
 def simulate_paths(spec: ProcessSpec, n_paths: int, stream) -> np.ndarray:
     """Simulate full trajectories; shape ``(n_paths, horizon, dimension)``.
 
@@ -354,37 +331,34 @@ def process_spec_from_dict(data: dict) -> ProcessSpec:
         raise ValueError("process config requires a 'kind' field")
     check_keys(data, [f.name for f in fields(ProcessSpec)], "process config")
     kind = _normalize_kind(data["kind"])
-    if kind == GAUSSIAN_IID:
-        spec = gaussian_iid(horizon=data["horizon"], dimension=data.get("dimension", 1))
-    elif kind == GBM:
-        times = data["times"]
-        spec = gbm(
-            dimension=data.get("dimension", 1),
-            horizon=data.get("horizon", len(times)),
-            gamma=float(data.get("gamma", 0.0)),
-            div_yield=float(data.get("div_yield", 0.0)),
-            sigma=float(data["sigma"]),
-            spot=float(data["spot"]),
-            times=times,
-            start_time=float(data.get("start_time", 0.0)),
-        )
-    else:
-        chain = user_discrete(data["support"], data["transitions"])
-        # re-validated with a given horizon or dimension, so one that is not the
-        # transition count and 1, or is not an integer (2.0, True), is refused
-        spec = replace(chain, horizon=data.get("horizon", chain.horizon), dimension=data.get("dimension", 1))
+    try:
+        if kind == GAUSSIAN_IID:
+            spec = gaussian_iid(horizon=data["horizon"], dimension=data.get("dimension", 1))
+        elif kind == GBM:
+            times = data["times"]
+            spec = gbm(
+                dimension=data.get("dimension", 1),
+                horizon=data.get("horizon", len(times)),
+                gamma=float(data.get("gamma", 0.0)),
+                div_yield=float(data.get("div_yield", 0.0)),
+                sigma=float(data["sigma"]),
+                spot=float(data["spot"]),
+                times=times,
+                start_time=float(data.get("start_time", 0.0)),
+            )
+        else:
+            chain = user_discrete(data["support"], data["transitions"])
+            # re-validated with a given horizon or dimension, so one that is not the
+            # transition count and 1, or is not an integer (2.0, True), is refused
+            spec = replace(chain, horizon=data.get("horizon", chain.horizon), dimension=data.get("dimension", 1))
+    except TypeError as exc:  # a list where a number goes, a number where a list goes
+        raise ValueError(f"process config has a field of the wrong type: {exc}") from None
     check_recorded(data, spec, "process config")
     return spec
 
 
-def load_process_spec(path) -> ProcessSpec:
-    """Read a process config from a JSON file."""
-    with open(path) as fh:
-        return process_spec_from_dict(json.load(fh))
-
-
 def _normalize_kind(raw: str) -> str:
-    key = "".join(ch for ch in str(raw).lower() if ch.isalnum())
+    key = "".join(ch for ch in raw.lower() if ch.isalnum()) if isinstance(raw, str) else None
     table = {"gaussianiid": GAUSSIAN_IID, "gaussian": GAUSSIAN_IID, "gbm": GBM, "userdiscrete": USER_DISCRETE, "discrete": USER_DISCRETE}
     if key not in table:
         raise ValueError(f"unknown process kind {raw!r}")

@@ -8,7 +8,6 @@ states, and never mutate anything.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -87,17 +86,17 @@ def reward_spec_from_dict(data: dict) -> RewardSpec:
     if "kind" not in data:
         raise ValueError("reward config requires a 'kind' field")
     check_keys(data, [f.name for f in fields(RewardSpec)], "reward config")
-    key = "".join(ch for ch in str(data["kind"]).lower() if ch.isalnum())
+    kind = data["kind"]
+    key = "".join(ch for ch in kind.lower() if ch.isalnum()) if isinstance(kind, str) else None
     if key == "identity":
         spec = identity_reward()
     elif key in ("basketput", "put"):
-        spec = basket_put(data["strike"], data.get("discount", 0.0), data["times"])
+        try:
+            spec = basket_put(data["strike"], data.get("discount", 0.0), data["times"])
+        except TypeError as exc:  # a list where a number goes, a number where a list goes
+            raise ValueError(f"reward config has a field of the wrong type: {exc}") from None
     else:
         raise ValueError(f"unknown reward kind {data['kind']!r}")
     check_recorded(data, spec, "reward config")
     return spec
 
-
-def load_reward_spec(path) -> RewardSpec:
-    with open(path) as fh:
-        return reward_spec_from_dict(json.load(fh))

@@ -188,6 +188,8 @@ def test_interval_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, ca
         (["gaussian-suite", "--arity", 0], "--arity must be a positive integer"),
         (["tune-rate", "--replicates", 1], "tune-rate needs at least two replicates per rate to estimate a variance"),
         (["estimate", "--truncate-level", -1], "max_level must be an integer >= 0, got -1"),
+        (["tune-rate", "--horizon", 1],
+         "tune-rate needs --horizon >= 2: below it no level is drawn, so every rate gives the same replicates"),
     ],
 )
 def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, message):
@@ -225,6 +227,15 @@ def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsy
          "process config field 'times' is [1, 2], but the GaussianIID spec records ()"),
         (["estimate"], {"reward": {"kind": "identity", "strike": 90}},
          "reward config field 'strike' is 90, but the Identity spec records 0.0"),
+        # a config or field of the wrong JSON type is an error line, not a TypeError traceback
+        (["estimate"], 5, "config must be a JSON object, got int"),
+        (["estimate"], {"process": 5}, "config 'process' must be a JSON object, got int"),
+        (["estimate"], {"process": {"kind": "gbm", "sigma": 0.2, "spot": 100, "times": 5}},
+         "process config has a field of the wrong type: object of type 'int' has no len()"),
+        (["estimate"], {"process": {"kind": "UserDiscrete", "support": 5, "transitions": [[1.0]]}},
+         "process config has a field of the wrong type: 'int' object is not iterable"),
+        (["estimate"], {"reward": {"kind": "basket-put", "strike": 100, "times": 3}},
+         "reward config has a field of the wrong type: 'int' object is not iterable"),
     ],
 )
 def test_fractional_integer_fields_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, config, message):

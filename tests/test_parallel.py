@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from musemc import parallel
 from musemc.estimator import MuseReplicateTask, RateSchedule
 from musemc.fixtures import two_point_two_stage
 from musemc.parallel import (
@@ -140,7 +139,7 @@ def test_results_are_ordered_and_keyed_by_index():
         draws = derive_substream(17, (b,)).generator.random(len(block)).tolist()
         assert block == list(zip(range(b * BLOCK_SIZE, b * BLOCK_SIZE + len(block)), draws))
     assert manifest.total_replicates == n
-    assert manifest.chunk_size == BLOCK_SIZE  # three blocks at one worker: a block per chunk
+    assert manifest.chunk_size == BLOCK_SIZE  # every worker claims one block at a time
     assert manifest.block_size == BLOCK_SIZE
 
 
@@ -149,20 +148,6 @@ def test_single_and_multi_worker_agree_exactly():
     a, _ = map_replicated(EchoTask(), n, seed=5, workers=1)
     b, _ = map_replicated(EchoTask(), n, seed=5, workers=2)
     assert a == b
-
-
-def test_chunk_size_never_changes_results(monkeypatch):
-    task = fixture_task()
-    n = 9 * BLOCK_SIZE + 3  # ten blocks: at one worker an uncapped chunk holds three
-    base, _, _, manifest = run_replicated(task, n, seed=6, workers=1)
-    assert manifest.chunk_size == 3 * BLOCK_SIZE
-    for cap in (1, 2, 64):
-        monkeypatch.setattr(parallel, "DEFAULT_CHUNK", cap)
-        again, _, _, manifest = run_replicated(task, n, seed=6, workers=1)
-        assert manifest.chunk_size == min(cap, 3) * BLOCK_SIZE
-        assert np.array_equal(again.values, base.values)
-        assert np.array_equal(again.top_levels, base.top_levels)
-        assert np.array_equal(again.costs, base.costs)
 
 
 def test_estimator_task_parallel_equals_sequential():
@@ -247,23 +232,9 @@ def test_a_failing_run_reports_its_earliest_failing_block(workers):
     assert "slow failure" in str(err.value)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_chunks_not_started_when_a_block_fails_never_run(tmp_path, monkeypatch, workers):
-    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one block per chunk
-    with pytest.raises(ReplicateError) as err:
-        map_replicated(MarkThenFailFirst(tmp_path), 16 * BLOCK_SIZE, seed=0, workers=workers)
-    assert err.value.index == 0
-    started = len(list(tmp_path.iterdir()))
-    # at one worker nothing runs after the failure; on a pool, at most the
-    # failed chunk, the chunk each worker is on, the pool's queue of
-    # workers + 1 chunks and the one slot it refills as the failure comes back
-    assert started == 1 if workers == 1 else started <= 2 * workers + 3
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_no_worker_claims_a_chunk_once_a_block_has_failed(tmp_path, monkeypatch, workers):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_no_worker_claims_a_chunk_once_a_block_has_failed(tmp_path, workers):
     """Block 0 fails at once and every other block takes a while: each worker starts at most one block."""
-    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one block per chunk
     with pytest.raises(ReplicateError) as err:
         map_replicated(MarkThenFailFirst(tmp_path), 16 * BLOCK_SIZE, seed=0, workers=workers)
     assert err.value.index == 0
@@ -278,9 +249,8 @@ def test_a_worker_that_dies_fails_the_run_at_its_chunk(workers):
     assert "exited with code 3" in str(err.value)
 
 
-def test_more_workers_than_cores_claim_every_chunk_exactly_once(tmp_path, monkeypatch):
-    """Eight workers race for 64 one-block chunks; a lost update on the counter would run a block twice or never."""
-    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one block per chunk
+def test_more_workers_than_cores_claim_every_chunk_exactly_once(tmp_path):
+    """Eight workers race for 64 blocks; a lost update on the counter would run a block twice or never."""
     results, manifest = map_replicated(MarkOnce(tmp_path), 64 * BLOCK_SIZE, seed=0, workers=8)
     assert results == [list(range(a, a + BLOCK_SIZE)) for a in range(0, 64 * BLOCK_SIZE, BLOCK_SIZE)]
     assert len(list(tmp_path.iterdir())) == 64
@@ -289,14 +259,13 @@ def test_more_workers_than_cores_claim_every_chunk_exactly_once(tmp_path, monkey
 
 @pytest.mark.parametrize("n, by_caller", [(10, [False]), (3 * BLOCK_SIZE, [False, True, True])])
 def test_the_caller_takes_every_chunk_the_pool_has_not_started_but_the_first(n, by_caller):
-    """One-block chunks: the child starts on chunk 0, which takes a while, and the caller claims every later one."""
+    """The child starts on block 0, which takes a while, and the caller claims every later block."""
     results, _ = map_replicated(PidPerItemSlowFirst(), n, seed=0, workers=2)
     assert [set(block) == {os.getpid()} for block in results] == by_caller
 
 
 @pytest.mark.parametrize("workers, chunks", [(2, 1), (2, 16), (3, 16)])
-def test_the_caller_is_one_of_the_workers_unless_the_run_is_one_chunk(monkeypatch, workers, chunks):
-    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one-block chunks
+def test_the_caller_is_one_of_the_workers_unless_the_run_is_one_chunk(workers, chunks):
     results, manifest = map_replicated(PidPerItem(pause=0.02), chunks * BLOCK_SIZE, seed=0, workers=workers)
     pids = {pid for block in results for pid in block}
     assert (os.getpid() in pids) == (chunks > 1)
@@ -315,9 +284,8 @@ def test_a_failure_in_the_last_chunk_reports_its_block(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_the_earliest_of_two_failing_blocks_is_reported_while_the_first_runs_on(monkeypatch, workers):
+def test_the_earliest_of_two_failing_blocks_is_reported_while_the_first_runs_on(workers):
     """The first child is held up on block 0 while the caller runs on; block 4 fails before block 7 can."""
-    monkeypatch.setattr(parallel, "DEFAULT_CHUNK", 1)  # one-block chunks
     with pytest.raises(ReplicateError) as err:
         map_replicated(SlowFirstFailAt((4, 7)), 8 * BLOCK_SIZE, seed=0, workers=workers)
     assert err.value.index == 4 * BLOCK_SIZE
@@ -370,7 +338,7 @@ def test_map_replicated_guards():
 
 
 def test_the_pool_starts_no_more_processes_than_there_are_chunks(monkeypatch):
-    """One child per chunk after the first, at most, and one for a one-chunk run."""
+    """One child per block after the first, at most, and one for a one-block run."""
     starts = []
     start = multiprocessing.context.ForkProcess.start
 

@@ -12,10 +12,8 @@ from musemc.processes import (
     ProcessSpec,
     TrajectoryHistory,
     compile_stepper,
-    exact_conditional_mean,
     gaussian_iid,
     gbm,
-    load_process_spec,
     process_spec_from_dict,
     sample_next,
     simulate_paths,
@@ -154,32 +152,6 @@ def test_discrete_parent_outside_support_rejected():
         sample_next(spec, EMPTY_HISTORY.extended([0.5]), 3, stream(12))
 
 
-def test_exact_conditional_mean_examples():
-    # two equally likely successors {0, 2} -> 1
-    spec = user_discrete((0.0, 2.0), ((0.5, 0.5),))
-    assert exact_conditional_mean(spec, EMPTY_HISTORY, (0.0, 2.0)) == 1.0
-    # point mass -> the value itself
-    spec2 = user_discrete((7.0, 9.0), ((0.0, 1.0),))
-    assert exact_conditional_mean(spec2, EMPTY_HISTORY, (7.0, 9.0)) == 9.0
-    # weighted row (0.3, 0.7) over payoffs (10, 20) -> 17
-    spec3 = user_discrete(
-        (10.0, 20.0),
-        ((1.0, 0.0), ((0.3, 0.7), (0.0, 1.0))),
-    )
-    hist = EMPTY_HISTORY.extended([10.0])
-    assert exact_conditional_mean(spec3, hist, (10.0, 20.0)) == 17.0
-
-
-def test_exact_conditional_mean_guards():
-    spec = user_discrete((0.0, 1.0), ((0.5, 0.5),))
-    with pytest.raises(ValueError):
-        exact_conditional_mean(gaussian_iid(horizon=2), EMPTY_HISTORY, (0.0, 1.0))
-    with pytest.raises(ValueError):
-        exact_conditional_mean(spec, EMPTY_HISTORY, (0.0, 1.0, 2.0))
-    with pytest.raises(ValueError):
-        exact_conditional_mean(spec, EMPTY_HISTORY.extended([0.0]), (0.0, 1.0))
-
-
 @pytest.mark.parametrize(
     "support,transitions",
     [
@@ -287,6 +259,8 @@ def test_process_spec_from_dict_errors():
         process_spec_from_dict({"horizon": 2})
     with pytest.raises(ValueError):
         process_spec_from_dict({"kind": "poisson", "horizon": 2})
+    with pytest.raises(ValueError, match=r"unknown process kind \['gbm'\]"):  # not read as the string "['gbm']"
+        process_spec_from_dict({"kind": ["gbm"], "sigma": 0.2, "spot": 100, "times": [1, 2]})
     with pytest.raises(ValueError, match=r"unknown process config key\(s\): 'dimesion'"):
         process_spec_from_dict({"kind": "gaussian", "horizon": 3, "dimesion": 2})
     # a chain's horizon and dimension, when given, must be its transition count and 1
@@ -322,15 +296,6 @@ def test_process_spec_from_dict_errors():
 def test_fractional_integer_fields_are_refused_not_truncated(data, field):
     with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got"):
         process_spec_from_dict(data)
-
-
-def test_load_process_spec_roundtrip(tmp_path):
-    payload = {"kind": "gbm", "sigma": 0.2, "spot": 90.0, "gamma": 0.03, "times": [0.5, 1.0]}
-    path = tmp_path / "process.json"
-    path.write_text(json.dumps(payload))
-    spec = load_process_spec(path)
-    assert spec.kind == "GBM"
-    assert spec.spot == 90.0
 
 
 # ------------------------------------------------- discrete stepper equivalence

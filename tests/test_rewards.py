@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from musemc.rewards import (
     basket_put,
     compile_reward,
     identity_reward,
-    load_reward_spec,
     reward,
     reward_spec_from_dict,
 )
@@ -104,6 +102,8 @@ def test_reward_spec_from_dict():
         reward_spec_from_dict({"strike": 95})
     with pytest.raises(ValueError):
         reward_spec_from_dict({"kind": "lookback"})
+    with pytest.raises(ValueError, match=r"unknown reward kind \['put'\]"):  # not read as the string "['put']"
+        reward_spec_from_dict({"kind": ["put"], "strike": 95, "times": [1]})
     with pytest.raises(ValueError, match=r"unknown reward config key\(s\): 'discunt'"):
         reward_spec_from_dict({"kind": "basket-put", "strike": 95, "discunt": 0.02, "times": [1, 2]})
     # a field the kind ignores is refused unless it holds the value the spec records
@@ -111,8 +111,3 @@ def test_reward_spec_from_dict():
         reward_spec_from_dict({"kind": "identity", "strike": 90})
     assert reward_spec_from_dict({"kind": "identity", "strike": 0, "times": []}) == identity_reward()
 
-
-def test_load_reward_spec(tmp_path):
-    path = tmp_path / "reward.json"
-    path.write_text(json.dumps({"kind": "BasketPut", "strike": 100, "discount": 0.05, "times": [0, 1, 2, 3]}))
-    assert load_reward_spec(path) == basket_put(100.0, 0.05, (0.0, 1.0, 2.0, 3.0))

@@ -232,6 +232,17 @@ def test_a_failing_run_reports_its_earliest_failing_block(workers):
     assert "slow failure" in str(err.value)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunks_not_started_when_a_block_fails_never_run(tmp_path, workers):
+    """Blocks are claimed in order, so the blocks that ran before the failure stopped the run are a prefix."""
+    with pytest.raises(ReplicateError) as err:
+        map_replicated(MarkThenFailFirst(tmp_path), 16 * BLOCK_SIZE, seed=0, workers=workers)
+    assert err.value.index == 0
+    started = sorted(int(p.name.split("-")[1]) for p in tmp_path.iterdir())
+    assert started == list(range(len(started)))
+    assert started == [0] if workers == 1 else 1 <= len(started) <= workers
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_no_worker_claims_a_chunk_once_a_block_has_failed(tmp_path, workers):
     """Block 0 fails at once and every other block takes a while: each worker starts at most one block."""

@@ -12,7 +12,11 @@ replicate runs, so an unusable directory fails at once; a bad flag and a
 failing replicate alike end in one ``error:`` line and exit status 1.  The
 commands share one pipeline: flags become an instance and a rate schedule
 (``_resolve_instance``, ``_resolve_schedule``), and ``_run`` runs and
-summarizes the replicates.  ``bermudan`` is ``estimate``'s handler with GBM
+summarizes the replicates.  An instance is built by the config readers
+alone: the process and reward flags given become config objects, so a flag
+the kind ignores is refused as a config field would be, and so is a flag
+given next to the ``--config`` object it would change; the default reward
+follows the resolved process.  ``bermudan`` is ``estimate``'s handler with GBM
 and basket-put defaults and a CLT interval.  Every harness run stores
 ``_record`` -- the command, the resolved process and reward, the rates and
 the level cap -- as its manifest's ``config``, and every CSV goes through
@@ -36,8 +40,8 @@ from .estimator import MuseReplicateTask, RateSchedule, theoretical_rate_schedul
 from .inference import bootstrap_ci, check_interval_args, clt_ci, self_normalized_variance, summarize, summary_to_json
 from .parallel import ReplicateError, run_replicated, resolve_workers
 from .policy import PolicyConfig, _run_episodes, run_stopping_policy, write_episode_log  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
-from .processes import gaussian_iid, gbm, process_spec_from_dict
-from .rewards import basket_put, identity_reward, reward_spec_from_dict
+from .processes import GBM, gaussian_iid, process_spec_from_dict
+from .rewards import identity_reward, reward_spec_from_dict
 from .streams import check_keys, derive_substream
 
 _BOOTSTRAP_KEY = 1 << 62  # reserved stream namespace; never collides with replicate paths
@@ -115,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--geo-rate", dest="rates", default="0.6", help="geometric rate(s) for the level draws")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(handler=_cmd_estimate, process="gbm", reward=None, delta_mom=None,
+    p.set_defaults(handler=_cmd_estimate, process="gbm", horizon=None, reward=None, delta_mom=None,
                    config=None, truncate_level=None, ci="clt", bootstrap_resamples=None)
 
     p = sub.add_parser("stop", parents=[common], help="run the estimator-driven stopping policy")
@@ -135,17 +139,26 @@ def _add_config_flag(p):
     p.add_argument("--config", default=None, help="JSON file with 'process'/'reward' objects")
 
 
+# The defaults of estimate's and stop's process flags, by kind (--process itself defaults to gaussian-iid).
+# The flags default to None, so only a flag that is given becomes a config field.
+_FLAG_DEFAULTS = {"gaussian-iid": {"horizon": 3, "dimension": 1},
+                  "gbm": {"dimension": 1, "gamma": 0.05, "div": 0.0, "sigma": 0.2, "spot": 100.0}}
+_PROCESS_FIELDS = {"horizon": "horizon", "dimension": "dimension", "gamma": "gamma", "div": "div_yield",
+                   "sigma": "sigma", "spot": "spot", "dates": "times"}  # flag -> ProcessSpec field
+
+
 def _add_process_flags(p):
-    p.add_argument("--process", choices=["gaussian-iid", "gbm", "user-discrete"], default="gaussian-iid")
-    p.add_argument("--horizon", type=int, default=3)
-    p.add_argument("--dimension", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=0.05, help="GBM drift / discount rate")
-    p.add_argument("--div", type=float, default=0.0, help="GBM dividend yield")
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--spot", type=float, default=100.0)
-    p.add_argument("--dates", default=None, help="comma-separated stage times for GBM/BasketPut")
-    p.add_argument("--reward", choices=["identity", "basket-put"], default=None)
-    p.add_argument("--strike", type=float, default=None)
+    gauss, gbm = _FLAG_DEFAULTS["gaussian-iid"], _FLAG_DEFAULTS["gbm"]
+    p.add_argument("--process", choices=["gaussian-iid", "gbm", "user-discrete"], help="default: gaussian-iid")
+    p.add_argument("--horizon", type=int, help=f"default: {gauss['horizon']}; a GBM's is its number of --dates")
+    p.add_argument("--dimension", type=int, help=f"default: {gauss['dimension']}")
+    p.add_argument("--gamma", type=float, help=f"GBM drift / discount rate (default: {gbm['gamma']})")
+    p.add_argument("--div", type=float, help=f"GBM dividend yield (default: {gbm['div']})")
+    p.add_argument("--sigma", type=float, help=f"GBM volatility (default: {gbm['sigma']})")
+    p.add_argument("--spot", type=float, help=f"GBM spot (default: {gbm['spot']})")
+    p.add_argument("--dates", help="comma-separated stage times of a GBM (required for one)")
+    p.add_argument("--reward", choices=["identity", "basket-put"], help="default: basket-put for a GBM, else identity")
+    p.add_argument("--strike", type=float, help="basket-put strike (default: the process's spot)")
 
 
 def _add_schedule_flags(p):
@@ -165,44 +178,46 @@ def _load_config(args) -> dict:
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
     check_keys(config, ("process", "reward"), "config")
-    for key, value in config.items():
-        if not isinstance(value, dict):
-            raise ValueError(f"config {key!r} must be a JSON object, got {type(value).__name__}")
     return config
 
 
 def _resolve_instance(args, config):
-    """Build (process, reward) from config objects, falling back to flags."""
-    if "process" in config:
-        process = process_spec_from_dict(config["process"])
-    elif args.process == "gaussian-iid":
-        process = gaussian_iid(horizon=args.horizon, dimension=args.dimension)
-    elif args.process == "gbm":
-        if args.dates is None:
-            raise ValueError("GBM needs --dates (one calendar time per stage)")
-        dates = _parse_floats(args.dates)
-        process = gbm(
-            dimension=args.dimension,
-            horizon=len(dates),
-            gamma=args.gamma,
-            div_yield=args.div,
-            sigma=args.sigma,
-            spot=args.spot,
-            times=dates,
-        )
-    else:
-        raise ValueError("user-discrete processes are configured via --config (support and transitions)")
+    """Build (process, reward) through the config readers, from the config's objects or from the flags given.
 
-    if "reward" in config:
-        reward_spec = reward_spec_from_dict(config["reward"])
-    else:
-        kind = args.reward or ("basket-put" if args.process == "gbm" else "identity")
-        if kind == "identity":
-            reward_spec = identity_reward()
-        else:
-            strike = args.strike if args.strike is not None else args.spot
-            reward_spec = basket_put(strike=strike, discount=args.gamma, times=process.times)
-    return process, reward_spec
+    A flag given next to the config object it would change is refused.  The
+    default reward follows the process: a GBM's is a basket put struck at its
+    spot, discounted at its gamma over its times; any other's is the identity.
+    """
+    for name, flags in (("process", ("process", *_PROCESS_FIELDS)), ("reward", ("reward", "strike"))):
+        given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+        if name in config and given:
+            raise ValueError(f"{', '.join(given)} would change the config's {name} object; set its fields there")
+    process = process_spec_from_dict(config["process"] if "process" in config else _process_from_flags(args))
+    return process, reward_spec_from_dict(config["reward"] if "reward" in config else _reward_from_flags(args, process))
+
+
+def _process_from_flags(args) -> dict:
+    """The process config of the flags given, over their kind's defaults; a field the kind ignores is kept, so refused."""
+    kind = args.process or "gaussian-iid"
+    if kind == "user-discrete":
+        raise ValueError("user-discrete processes are configured via --config (support and transitions)")
+    if kind == "gbm" and args.dates is None:
+        raise ValueError("GBM needs --dates (one calendar time per stage)")
+    flags = {**_FLAG_DEFAULTS[kind], **{f: getattr(args, f) for f in _PROCESS_FIELDS if getattr(args, f) is not None}}
+    if "dates" in flags:
+        flags["dates"] = _parse_floats(flags["dates"])
+    return {"kind": kind, **{_PROCESS_FIELDS[flag]: value for flag, value in flags.items()}}
+
+
+def _reward_from_flags(args, process) -> dict:
+    data = {"kind": args.reward or ("basket-put" if process.kind == GBM else "identity")}
+    if data["kind"] == "basket-put":
+        if process.kind != GBM:
+            raise ValueError("--reward basket-put takes its times from a GBM; give any other basket put as a --config reward")
+        data.update(strike=process.spot, discount=process.gamma, times=process.times)
+    if args.strike is not None:
+        data["strike"] = args.strike
+    return data
 
 
 def _resolve_schedule(args, horizon) -> RateSchedule:

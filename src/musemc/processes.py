@@ -22,11 +22,11 @@ in full).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .streams import as_generator, check_int, check_keys, check_recorded
+from .streams import as_generator, check_int, spec_from_dict
 
 GAUSSIAN_IID = "GaussianIID"
 GBM = "GBM"
@@ -321,45 +321,34 @@ def simulate_paths(spec: ProcessSpec, n_paths: int, stream) -> np.ndarray:
     return out
 
 
+def _gaussian_from_dict(data):
+    return gaussian_iid(horizon=data["horizon"], dimension=data.get("dimension", 1))
+
+
+def _gbm_from_dict(data):
+    times = data["times"]
+    return gbm(
+        dimension=data.get("dimension", 1),
+        horizon=data.get("horizon", len(times)),
+        gamma=float(data.get("gamma", 0.0)),
+        div_yield=float(data.get("div_yield", 0.0)),
+        sigma=float(data["sigma"]),
+        spot=float(data["spot"]),
+        times=times,
+        start_time=float(data.get("start_time", 0.0)),
+    )
+
+
+def _discrete_from_dict(data):
+    chain = user_discrete(data["support"], data["transitions"])
+    # re-validated with a given horizon or dimension, so one that is not the
+    # transition count and 1, or is not an integer (2.0, True), is refused
+    return replace(chain, horizon=data.get("horizon", chain.horizon), dimension=data.get("dimension", 1))
+
+
 def process_spec_from_dict(data: dict) -> ProcessSpec:
-    """Build a ProcessSpec from a JSON-style mapping (see README for fields).
-
-    A given field whose value the spec does not record -- one the kind
-    ignores, say -- is refused; every field ``asdict`` writes reads back.
-    """
-    if "kind" not in data:
-        raise ValueError("process config requires a 'kind' field")
-    check_keys(data, [f.name for f in fields(ProcessSpec)], "process config")
-    kind = _normalize_kind(data["kind"])
-    try:
-        if kind == GAUSSIAN_IID:
-            spec = gaussian_iid(horizon=data["horizon"], dimension=data.get("dimension", 1))
-        elif kind == GBM:
-            times = data["times"]
-            spec = gbm(
-                dimension=data.get("dimension", 1),
-                horizon=data.get("horizon", len(times)),
-                gamma=float(data.get("gamma", 0.0)),
-                div_yield=float(data.get("div_yield", 0.0)),
-                sigma=float(data["sigma"]),
-                spot=float(data["spot"]),
-                times=times,
-                start_time=float(data.get("start_time", 0.0)),
-            )
-        else:
-            chain = user_discrete(data["support"], data["transitions"])
-            # re-validated with a given horizon or dimension, so one that is not the
-            # transition count and 1, or is not an integer (2.0, True), is refused
-            spec = replace(chain, horizon=data.get("horizon", chain.horizon), dimension=data.get("dimension", 1))
-    except TypeError as exc:  # a list where a number goes, a number where a list goes
-        raise ValueError(f"process config has a field of the wrong type: {exc}") from None
-    check_recorded(data, spec, "process config")
-    return spec
-
-
-def _normalize_kind(raw: str) -> str:
-    key = "".join(ch for ch in raw.lower() if ch.isalnum()) if isinstance(raw, str) else None
-    table = {"gaussianiid": GAUSSIAN_IID, "gaussian": GAUSSIAN_IID, "gbm": GBM, "userdiscrete": USER_DISCRETE, "discrete": USER_DISCRETE}
-    if key not in table:
-        raise ValueError(f"unknown process kind {raw!r}")
-    return table[key]
+    """Build a ProcessSpec from a JSON-style object (see README for fields) with ``streams.spec_from_dict``;
+    every field ``asdict`` writes reads back."""
+    builders = {"gaussianiid": _gaussian_from_dict, "gaussian": _gaussian_from_dict, "gbm": _gbm_from_dict,
+                "userdiscrete": _discrete_from_dict, "discrete": _discrete_from_dict}
+    return spec_from_dict(data, ProcessSpec, builders, "process")

@@ -9,11 +9,11 @@ states, and never mutate anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import check_keys, check_recorded
+from .streams import spec_from_dict
 
 IDENTITY = "Identity"
 BASKET_PUT = "BasketPut"
@@ -81,22 +81,12 @@ def reward(spec: RewardSpec, stage: int, state) -> float:
     return float(compile_reward(spec)(stage, x[None, :])[0])
 
 
-def reward_spec_from_dict(data: dict) -> RewardSpec:
-    """Build a RewardSpec from a JSON-style mapping; a given field the spec does not record as given is refused."""
-    if "kind" not in data:
-        raise ValueError("reward config requires a 'kind' field")
-    check_keys(data, [f.name for f in fields(RewardSpec)], "reward config")
-    kind = data["kind"]
-    key = "".join(ch for ch in kind.lower() if ch.isalnum()) if isinstance(kind, str) else None
-    if key == "identity":
-        spec = identity_reward()
-    elif key in ("basketput", "put"):
-        try:
-            spec = basket_put(data["strike"], data.get("discount", 0.0), data["times"])
-        except TypeError as exc:  # a list where a number goes, a number where a list goes
-            raise ValueError(f"reward config has a field of the wrong type: {exc}") from None
-    else:
-        raise ValueError(f"unknown reward kind {data['kind']!r}")
-    check_recorded(data, spec, "reward config")
-    return spec
+def _basket_put_from_dict(data):
+    return basket_put(data["strike"], data.get("discount", 0.0), data["times"])
 
+
+def reward_spec_from_dict(data: dict) -> RewardSpec:
+    """Build a RewardSpec from a JSON-style object with ``streams.spec_from_dict``: an ``identity``, or a
+    ``basket-put`` (alias ``put``) with ``strike``, ``times`` and ``discount`` (default 0)."""
+    builders = {"identity": lambda data: identity_reward(), "basketput": _basket_put_from_dict, "put": _basket_put_from_dict}
+    return spec_from_dict(data, RewardSpec, builders, "reward")

@@ -10,6 +10,7 @@ replicates or policy episodes) to path ``(b,)`` below the run's root.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Iterable
 
 import numpy as np
@@ -31,17 +32,36 @@ def check_keys(data, allowed, what: str) -> None:
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, sorted(unknown)))}")
 
 
-def check_recorded(data, spec, what: str) -> None:
-    """Raise a ValueError naming the first field of ``data`` (other than its kind) whose value ``spec`` does not
-    record, so a field the kind ignores is not dropped; lists and tuples compare alike."""
+def spec_from_dict(data, spec_cls, builders, noun: str):
+    """Build a ``spec_cls`` from a ``noun``'s ("process" or "reward") JSON-style config object.
+
+    The kind, lowercased and stripped to letters and digits, picks a builder
+    of ``data`` from ``builders``.  A non-object, a missing or unknown kind, an
+    unknown key, a field of the wrong type, and a given field whose value the
+    spec does not record (one the kind ignores, say) are each a ``ValueError``.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"config {noun!r} must be a JSON object, got {type(data).__name__}")
+    if "kind" not in data:
+        raise ValueError(f"{noun} config requires a 'kind' field")
+    check_keys(data, [f.name for f in fields(spec_cls)], f"{noun} config")
+    kind = data["kind"]
+    build = builders.get("".join(ch for ch in kind.lower() if ch.isalnum())) if isinstance(kind, str) else None
+    if build is None:
+        raise ValueError(f"unknown {noun} kind {kind!r}")
+    try:
+        spec = build(data)
+    except TypeError as exc:  # a list where a number goes, a number where a list goes
+        raise ValueError(f"{noun} config has a field of the wrong type: {exc}") from None
+
+    def plain(value):
+        return tuple(map(plain, value)) if isinstance(value, (list, tuple)) else value
+
     for key, given in data.items():
         recorded = getattr(spec, key)
-        if key != "kind" and _as_tuples(given) != _as_tuples(recorded):
-            raise ValueError(f"{what} field {key!r} is {given!r}, but the {spec.kind} spec records {recorded!r}")
-
-
-def _as_tuples(value):
-    return tuple(map(_as_tuples, value)) if isinstance(value, (list, tuple)) else value
+        if key != "kind" and plain(given) != plain(recorded):
+            raise ValueError(f"{noun} config field {key!r} is {given!r}, but the {spec.kind} spec records {recorded!r}")
+    return spec
 
 
 class RandomStream:

@@ -190,6 +190,13 @@ def test_interval_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, ca
         (["estimate", "--truncate-level", -1], "max_level must be an integer >= 0, got -1"),
         (["tune-rate", "--horizon", 1],
          "tune-rate needs --horizon >= 2: below it no level is drawn, so every rate gives the same replicates"),
+        # an instance flag the kind ignores is refused, not dropped
+        (["estimate", "--sigma", 0.5, "--strike", 90], "process config field 'sigma' is 0.5, but the GaussianIID spec records 0.0"),
+        (["stop", "--strike", 90], "reward config field 'strike' is 90.0, but the Identity spec records 0.0"),
+        (["estimate", "--process", "gbm", "--horizon", 5, "--dates", "0,1,2"], "times must have one entry per stage (5), got 3"),
+        (["stop", "--dates", "0,1,2"], "process config field 'times' is [0.0, 1.0, 2.0], but the GaussianIID spec records ()"),
+        (["estimate", "--reward", "basket-put"],
+         "--reward basket-put takes its times from a GBM; give any other basket put as a --config reward"),
     ],
 )
 def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, message):
@@ -236,6 +243,12 @@ def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsy
          "process config has a field of the wrong type: 'int' object is not iterable"),
         (["estimate"], {"reward": {"kind": "basket-put", "strike": 100, "times": 3}},
          "reward config has a field of the wrong type: 'int' object is not iterable"),
+        # a flag given next to the config object it would change is refused, not dropped
+        (["estimate", "--horizon", 7, "--process", "user-discrete"],
+         {"process": {"kind": "gbm", "sigma": 0.2, "spot": 100, "times": [0, 1, 2]}},
+         "--process, --horizon would change the config's process object; set its fields there"),
+        (["stop", "--strike", 90], {"reward": {"kind": "identity"}},
+         "--strike would change the config's reward object; set its fields there"),
     ],
 )
 def test_fractional_integer_fields_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, config, message):
@@ -602,19 +615,24 @@ def test_every_command_records_its_instance(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, log",
+    "argv, log, objects",
     [
         (["estimate", "--process", "gbm", "--dimension", 3, "--dates", "0,1,2", "--ci", "bootstrap", "--replicates", 300],
-         "replicates.csv"),
-        (["bermudan", "--dim", 2, "--replicates", 300], "replicates.csv"),
-        (["estimate", "--horizon", 4, "--rates", "0.6,0.7,0.8", "--truncate-level", 3, "--replicates", 300], "replicates.csv"),
-        (["stop", "--config", "CHAIN", "--episodes", 6, "--inner-replicates", 200], "episodes.csv"),
+         "replicates.csv", ("process", "reward")),
+        (["bermudan", "--dim", 2, "--replicates", 300], "replicates.csv", ("process", "reward")),
+        (["estimate", "--horizon", 4, "--rates", "0.6,0.7,0.8", "--truncate-level", 3, "--replicates", 300],
+         "replicates.csv", ("process", "reward")),
+        (["stop", "--config", "CHAIN", "--episodes", 6, "--inner-replicates", 200], "episodes.csv", ("process", "reward")),
+        # a GBM's default reward is its basket put, from flags and from a config alike
+        (["estimate", "--process", "gbm", "--dimension", 3, "--dates", "0,1,2", "--ci", "bootstrap", "--replicates", 300],
+         "replicates.csv", ("process",)),
+        (["bermudan", "--dim", 2, "--replicates", 300], "replicates.csv", ("process",)),
     ],
-    ids=["gbm-bootstrap", "bermudan", "truncated", "chain-stop"],
+    ids=["gbm-bootstrap", "bermudan", "truncated", "chain-stop", "gbm-bootstrap-process-only", "bermudan-process-only"],
 )
-def test_a_recorded_instance_replays(tmp_path, argv, log):
-    """A manifest's ``config.process`` and ``config.reward``, run as ``--config`` at
-    the same seed, rates and level cap, redraw the same replicates or episodes."""
+def test_a_recorded_instance_replays(tmp_path, argv, log, objects):
+    """A manifest's ``config.process`` and ``config.reward`` (or its process alone), run
+    as ``--config`` at the same seed, rates and level cap, redraw the same replicates or episodes."""
     chain = mixing_three_stage()
     transitions = [list(chain.transitions[0])] + [[list(row) for row in mat] for mat in chain.transitions[1:]]
     (tmp_path / "chain.json").write_text(json.dumps({"process": {"kind": "UserDiscrete", "support": list(chain.support),
@@ -623,13 +641,23 @@ def test_a_recorded_instance_replays(tmp_path, argv, log):
     first, replay = tmp_path / "first", tmp_path / "replay"
     assert run(argv + ["--seed", 5, "--workers", 1, "--out-dir", first]) == 0
     config = json.loads((first / "manifest.json").read_text())["config"]
-    (tmp_path / "replay.json").write_text(json.dumps({"process": config["process"], "reward": config["reward"]}))
+    (tmp_path / "replay.json").write_text(json.dumps({name: config[name] for name in objects}))
     counts = argv[argv.index("--episodes"):] if argv[0] == "stop" else ["--replicates", 300]
     cap = [] if config["max_level"] is None else ["--truncate-level", config["max_level"]]
     command = "stop" if argv[0] == "stop" else "estimate"
     assert run([command, "--config", tmp_path / "replay.json", "--rates", ",".join(map(repr, config["rates"])), *counts,
                 *cap, "--seed", 5, "--workers", 1, "--out-dir", replay]) == 0
     assert (replay / log).read_bytes() == (first / log).read_bytes()
+
+
+def test_help_shows_the_instance_flag_defaults(capsys):
+    """The instance flags default to None, so their help shows the defaults a flag-built instance takes."""
+    with pytest.raises(SystemExit):
+        run(["estimate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for default in ("default: gaussian-iid", "default: 3;", "GBM drift / discount rate (default: 0.05)",
+                    "GBM dividend yield (default: 0.0)", "GBM volatility (default: 0.2)", "GBM spot (default: 100.0)"):
+        assert default in text
 
 
 def test_workers_env_overrides_flag(tmp_path, monkeypatch):

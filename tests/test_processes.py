@@ -283,6 +283,12 @@ def test_process_spec_from_dict_errors():
     assert process_spec_from_dict({"kind": "gaussian", "horizon": 2, "sigma": 0, "times": []}) == gaussian_iid(horizon=2)
 
 
+@pytest.mark.parametrize("data", [5, [{"kind": "gaussian", "horizon": 2}], "gaussian"])
+def test_process_spec_from_dict_refuses_a_non_object(data):
+    with pytest.raises(ValueError, match=f"config 'process' must be a JSON object, got {type(data).__name__}"):
+        process_spec_from_dict(data)
+
+
 @pytest.mark.parametrize(
     "data, field",
     [

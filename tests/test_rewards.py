@@ -111,3 +111,8 @@ def test_reward_spec_from_dict():
         reward_spec_from_dict({"kind": "identity", "strike": 90})
     assert reward_spec_from_dict({"kind": "identity", "strike": 0, "times": []}) == identity_reward()
 
+
+@pytest.mark.parametrize("data", [[1], 5, None])
+def test_reward_spec_from_dict_refuses_a_non_object(data):
+    with pytest.raises(ValueError, match=f"config 'reward' must be a JSON object, got {type(data).__name__}"):
+        reward_spec_from_dict(data)

@@ -206,6 +206,8 @@ def _process_from_flags(args) -> dict:
     flags = {**_FLAG_DEFAULTS[kind], **{f: getattr(args, f) for f in _PROCESS_FIELDS if getattr(args, f) is not None}}
     if "dates" in flags:
         flags["dates"] = _parse_floats(flags["dates"])
+        if not flags["dates"]:
+            raise ValueError(f"--dates must list at least one date, got {args.dates!r}")
     return {"kind": kind, **{_PROCESS_FIELDS[flag]: value for flag, value in flags.items()}}
 
 

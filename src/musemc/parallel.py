@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 
-from .streams import as_stream, check_int
+from .streams import BIT_GENERATOR, as_stream, check_int
 
 BLOCK_SIZE = 256  # items per keyed block
 WORKERS_ENV = "MUSE_WORKERS"
@@ -54,6 +54,7 @@ class RunManifest:
 
     ``block_size`` is the number of items keyed to one substream.  Workers
     claim one block at a time, so ``chunk_size`` always equals it.
+    ``bit_generator`` names the numpy bit generator that drew every number.
     """
 
     master_seed: int
@@ -65,6 +66,7 @@ class RunManifest:
     worker_wall_times: dict = field(default_factory=dict)
     worker_replicates: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
+    bit_generator: str = BIT_GENERATOR.__name__
 
     def to_json(self) -> dict:
         out = asdict(self)

@@ -1,11 +1,15 @@
 """Reproducible, splittable random streams for parallel Monte Carlo.
 
 A stream is identified by a 64-bit master seed plus an integer derivation
-path.  The pair is hashed into a counter-based Philox generator through
-numpy's ``SeedSequence``, so any stream can be reconstructed from its key
-alone -- independent of execution order, worker count, or which process
-asks for it.  The harness keys block ``b`` of a run's items (estimator
-replicates or policy episodes) to path ``(b,)`` below the run's root.
+path.  numpy's ``SeedSequence`` hashes the pair into the initial state of a
+``PCG64DXSM`` bit generator (``BIT_GENERATOR``), so any stream can be
+reconstructed from its key alone -- independent of execution order, worker
+count, or which process asks for it.  Distinct keys give independent streams
+because the hash decorrelates their states, not because of any property of
+the bit generator; numpy recommends PCG64DXSM for large parallel runs, and
+it draws uniforms over twice as fast as Philox.  The harness keys block
+``b`` of a run's items (estimator replicates or policy episodes) to path
+``(b,)`` below the run's root.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from typing import Iterable
 import numpy as np
 import numpy.random  # noqa: F401 - loaded at import, so forked workers inherit it instead of loading it at their first draw
 
-__all__ = ["RandomStream", "as_stream", "derive_substream"]
+__all__ = ["BIT_GENERATOR", "RandomStream", "as_stream", "derive_substream"]
+
+BIT_GENERATOR = np.random.PCG64DXSM  # the bit generator behind every stream; each manifest records its name
 
 
 def check_int(value, name: str, low: int = 1) -> None:
@@ -37,8 +43,9 @@ def spec_from_dict(data, spec_cls, builders, noun: str):
 
     The kind, lowercased and stripped to letters and digits, picks a builder
     of ``data`` from ``builders``.  A non-object, a missing or unknown kind, an
-    unknown key, a field of the wrong type, and a given field whose value the
-    spec does not record (one the kind ignores, say) are each a ``ValueError``.
+    unknown key, a missing required field, a field of the wrong type, and a
+    given field whose value the spec does not record (one the kind ignores,
+    say) are each a ``ValueError``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config {noun!r} must be a JSON object, got {type(data).__name__}")
@@ -51,6 +58,8 @@ def spec_from_dict(data, spec_cls, builders, noun: str):
         raise ValueError(f"unknown {noun} kind {kind!r}")
     try:
         spec = build(data)
+    except KeyError as exc:  # a field the kind requires
+        raise ValueError(f"{noun} config requires a {exc.args[0]!r} field") from None
     except TypeError as exc:  # a list where a number goes, a number where a list goes
         raise ValueError(f"{noun} config has a field of the wrong type: {exc}") from None
 
@@ -90,7 +99,7 @@ class RandomStream:
         """numpy generator backing this stream (built lazily, then cached)."""
         if self._generator is None:
             seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
-            self._generator = np.random.Generator(np.random.Philox(seq))
+            self._generator = np.random.Generator(BIT_GENERATOR(seq))
         return self._generator
 
     def child(self, *indices: int) -> "RandomStream":

@@ -197,6 +197,9 @@ def test_interval_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, ca
         (["stop", "--dates", "0,1,2"], "process config field 'times' is [0.0, 1.0, 2.0], but the GaussianIID spec records ()"),
         (["estimate", "--reward", "basket-put"],
          "--reward basket-put takes its times from a GBM; give any other basket put as a --config reward"),
+        # an empty date list names --dates, not the horizon it would imply
+        (["estimate", "--process", "gbm", "--dates="], "--dates must list at least one date, got ''"),
+        (["bermudan", "--dates", ","], "--dates must list at least one date, got ','"),
     ],
 )
 def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, message):
@@ -249,6 +252,10 @@ def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsy
          "--process, --horizon would change the config's process object; set its fields there"),
         (["stop", "--strike", 90], {"reward": {"kind": "identity"}},
          "--strike would change the config's reward object; set its fields there"),
+        # a missing required field is named, not printed as a bare key
+        (["estimate"], {"process": {"kind": "gbm", "spot": 100, "times": [0, 1]}}, "process config requires a 'sigma' field"),
+        (["estimate"], {"process": {"kind": "gbm", "sigma": 0.2, "spot": 100, "times": [0, 1]},
+                        "reward": {"kind": "basket-put", "times": [0, 1]}}, "reward config requires a 'strike' field"),
     ],
 )
 def test_fractional_integer_fields_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, config, message):
@@ -347,7 +354,7 @@ def test_tune_rate_writes_pinned_bytes(tmp_path):
     code = run(["tune-rate", "--horizon", 2, "--r-min", 0.55, "--r-max", 0.60, "--step", 0.025,
                 "--replicates", 1500, "--seed", 21, "--out-dir", tmp_path])
     assert code == 0
-    assert sha256(tmp_path / "rate_grid.csv") == "b3693663585fd0f1814aa86c054b25cb48181657ee66aac1aab44abeb58a0bb7"
+    assert sha256(tmp_path / "rate_grid.csv") == "255682994c428e850cd7d2814d8b28fd6cf15e2336b332c1560f57f4f7384f95"
 
 
 def test_tune_rate_default_grid_stays_inside_its_bounds():
@@ -391,7 +398,7 @@ def test_gaussian_suite_writes_pinned_bytes(tmp_path):
     code = run(["gaussian-suite", "--horizons", "2,3", "--replicates", 1500, "--mc1-paths", 1000,
                 "--trees", 30, "--arity", 4, "--seed", 22, "--out-dir", tmp_path])
     assert code == 0
-    assert sha256(tmp_path / "gaussian_suite.csv") == "b97af6394b94e1c8fa5c2433c35c1fe23a865c6928233dedb6bc152a35fe4d5f"
+    assert sha256(tmp_path / "gaussian_suite.csv") == "716f7e56e7cca0c3573e4190e2f25ec98075f5677550a5520d93aa745415b531"
 
 
 def test_gaussian_suite_needs_valid_horizons(tmp_path):
@@ -422,8 +429,8 @@ def test_bermudan_writes_pinned_bytes(tmp_path):
     assert code == 0
     got = (sha256(tmp_path / "replicates.csv"),
            hashlib.sha256(summary_without_wall_time(tmp_path).encode()).hexdigest())
-    assert got == ("aa43f35ff11034e1794aed8cf81aa79d2124cd1b4e6b4f741ad73994a54f3d0d",
-                   "d91c28105a7fc74b955b55a0e07052cb2a6018f25175b38ac380ed5d3893e838")
+    assert got == ("2ea11e529b585cb9586e492febbe9ddb113f087a6d17bcaefadc65e6973dfd4f",
+                   "04ac3b319d158d50b55a1775ee91f9b36d729c647631dce72c0813decd37d17a")
 
 
 def test_bermudan_is_estimate_with_gbm_defaults(tmp_path):
@@ -516,8 +523,8 @@ def test_stop_on_the_mixing_chain_writes_pinned_bytes(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("episodes.csv", "policy_summary.json")}
     assert digests == {
-        "episodes.csv": "4b32af4699b44aa02619eaca35e5cdd1b4c2eac692e85a45f2072c7a6fec0f69",
-        "policy_summary.json": "abf5f81e83e9ab44c7b797d60f7d69d1f0c31d95ac9949189fbb524724652b5c",
+        "episodes.csv": "9f937205d874785d7db751152833fcde5f83e119a78bc3db38ef0a9493bdda34",
+        "policy_summary.json": "15fc779da850e2abcba39c2139bfee901d1b143d4bdb87bb6dd94b76dbc72483",
     }
 
 
@@ -526,19 +533,19 @@ def test_stop_on_the_mixing_chain_writes_pinned_bytes(tmp_path):
     [
         (
             ["--horizon", 3, "--ci", "clt", "--replicates", 3000, "--seed", 11],
-            ("0b9497c6b42dfc0e35232dd1de6ae43facefbd8f1a7e5cd2cb9cf3c7b890fdc0",
-             "1c0863640029b52b9dd90a37350b45cc8249315f1de2fdce8207b142ce51a76e"),
+            ("895d8fb85a53e7cfdbb3a8798e4760cd38062ba408baa73868a918c73dcf36b8",
+             "764c5b76c26bb1533668324cea5840403d604bad85eb05f7be441155c2d4c16a"),
         ),
         (
             ["--process", "gbm", "--dimension", 2, "--dates", "0,1,2,3", "--ci", "bootstrap",
              "--bootstrap-resamples", 200, "--workers", 2, "--replicates", 1200, "--seed", 12],
-            ("93415637916a808f0cd3d7f8e3f6ba583a7642b9b907480aa39a951e7dac5360",
-             "c9270f8cf44fe88913b4f40e0cd12a64f758f85f0b0cd96c755eb70e218d0b08"),
+            ("b199321408b4e0fd5fb37af56b9b7d6b645ecbc9e3f807261356356cde8a70e4",
+             "2b42f09718ae0ea19c4d52a39b49b457e876c104029fc876f56a617c280ba486"),
         ),
         (
             ["--horizon", 4, "--truncate-level", 3, "--replicates", 2000, "--seed", 13],
-            ("14fb6fd04de6935330629015d684c3939599b518240a1c759fe10897c3e91d72",
-             "0cb43ae4e487d1984df32357d13ff22a358b435b29ac75e5a1deb07908ef5c87"),
+            ("7be07febf80f76ebe4c0ce3498854017a8c3c2ef3e28ce4432bae57bab3cbb75",
+             "468ae5100ef70abef9cb8d9079075b4e16a664516ed8a64cac5e987aad274bc3"),
         ),
     ],
     ids=["gaussian-t3-clt", "gbm-d2-bootstrap-w2", "gaussian-t4-truncated"],
@@ -600,10 +607,13 @@ def test_import_leaves_scipy_special_unloaded():
     ids=lambda argv: argv[0],
 )
 def test_every_command_records_its_instance(tmp_path, argv):
-    """Each harness run's manifest ``config`` holds the command and the resolved instance."""
+    """Each harness run's manifest holds the command and the resolved instance in its
+    ``config``, and names the bit generator that drew its numbers."""
     assert run(argv + ["--out-dir", tmp_path]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    configs = [point["config"] for point in manifest["points"]] if "points" in manifest else [manifest["config"]]
+    points = manifest.get("points", [manifest])
+    assert [point["bit_generator"] for point in points] == ["PCG64DXSM"] * len(points)
+    configs = [point["config"] for point in points]
     assert len(configs) == (2 if argv[0] in ("tune-rate", "gaussian-suite") else 1)
     for config in configs:
         assert set(config) == {"command", "process", "reward", "rates", "max_level"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import musemc.estimator as est
 from musemc.baselines import discrete_dp_oracle
@@ -147,10 +148,31 @@ def test_geometric_level_distribution():
 
 
 def test_geometric_level_powers_of_two_mean():
-    # E[2^N] = r/(2r-1) = 3 at r = 0.6; heavy-tailed, so the tolerance is 5%
-    gen = stream(0, seed=5).generator
-    n = est._sample_levels(gen, 0.6, 1_000_000, None)
-    assert abs((2.0**n).mean() - 3.0) < 0.15
+    """E[2^N] = r/(2r-1) = 4/3 at r = 0.8, within 5 standard errors.
+
+    At r = 0.8, E[4^N] = r/(4r-3) = 4 is finite, so Var[2^N] = 4 - 16/9 and
+    the sample mean of 1e6 draws is near normal: the bound's false-alarm
+    rate is about 6e-7.  (At r <= 3/4, E[4^N] is infinite and no fixed
+    tolerance on the sample mean has a stated false-alarm rate.)
+    """
+    r, n = 0.8, 1_000_000
+    levels = est._sample_levels(stream(0, seed=5).generator, r, n, None)
+    se = math.sqrt((r / (4 * r - 3) - (r / (2 * r - 1)) ** 2) / n)
+    assert abs((2.0**levels).mean() - r / (2 * r - 1)) <= 5 * se
+
+
+def test_geometric_level_frequencies_match_the_pmf():
+    """At r = 0.6 the count of each level 0..9, and of the levels >= 10, is
+    within a binomial z-bound of n p_n.  z is Bonferroni-corrected over the
+    11 cells for a family-wise false-alarm rate of 1e-6 (normal approximation;
+    the smallest expected count is about 100)."""
+    r, n, top = 0.6, 1_000_000, 10
+    levels = est._sample_levels(stream(1, seed=5).generator, r, n, None)
+    counts = np.bincount(np.minimum(levels, top), minlength=top + 1)
+    p = r * (1 - r) ** np.arange(top + 1.0)
+    p[top] = (1 - r) ** top  # P(N >= top)
+    z = np.abs(counts - n * p) / np.sqrt(n * p * (1 - p))
+    assert z.max() <= stats.norm.isf(1e-6 / (2 * (top + 1)))
 
 
 @pytest.mark.parametrize("r", [0.51, 0.6, 0.75, 0.9, 0.99])
@@ -318,20 +340,40 @@ def test_two_stage_guards():
         two_stage_muse(gaussian_iid(horizon=2), identity_reward(), 1.0, stream(26))
 
 
-@pytest.mark.parametrize("key, level", [((0,), 0), ((88,), 2)])
+def _hand_replay(key, r=0.6):
+    """The two-stage draws of substream ``(3, key)`` replayed by hand: (N, X_1, the 2^N leaves)."""
+    gen = derive_substream(3, key).generator
+    drawn = int(gen.geometric(r)) - 1
+    return drawn, gen.standard_normal((1, 1))[0, 0], gen.standard_normal((1 << drawn, 1))[:, 0]
+
+
+def _first_key(wanted, keys=range(10_000)):
+    """The first key ``(k,)`` of ``keys``, in order, whose substream has the property ``wanted``."""
+    return next((k,) for k in keys if wanted((k,)))
+
+
+def _replays_exactly_at(level):
+    """Does the key draw N = ``level``, with a nonzero correction and leaves whose
+    total minus the odd half is exactly the even half?"""
+    def wanted(key):
+        drawn, anchor, leaves = _hand_replay(key)
+        return (drawn == level and leaves.sum() - leaves[0::2].sum() == leaves[1::2].sum()
+                and antithetic_delta(anchor, leaves) != 0.0)
+    return wanted
+
+
+@pytest.mark.parametrize("key, level", [(_first_key(_replays_exactly_at(level)), level) for level in (0, 2)])
 def test_two_stage_replays_level_then_x1_then_leaves(key, level):
     """Replayed by hand: the level, then X_1, then the 2^N leaves, then delta / P(N).
 
-    Key (88,) has a nonzero correction at N = 2.  Its leaves sum so that the
-    total minus the odd half is exactly the even half, so both ways of
-    forming the halves agree and only the pmf's exp may move the last bit.
+    Each key is the first whose substream draws the level with a nonzero
+    correction, and whose leaves sum so that the total minus the odd half is
+    exactly the even half, so both ways of forming the halves agree and only
+    the pmf's exp may move the last bit.
     """
     r = 0.6
     s = two_stage_muse(gaussian_iid(horizon=2), identity_reward(), r, derive_substream(3, key))
-    gen = derive_substream(3, key).generator
-    drawn = int(gen.geometric(r)) - 1
-    anchor = gen.standard_normal((1, 1))[0, 0]
-    leaves = gen.standard_normal((1 << drawn, 1))[:, 0]
+    drawn, anchor, leaves = _hand_replay(key, r)
     assert drawn == level
     assert leaves.sum() - leaves[0::2].sum() == leaves[1::2].sum()
     want = antithetic_delta(anchor, leaves) / math.exp(math.log(r) + level * math.log1p(-r))
@@ -343,9 +385,10 @@ def test_two_stage_replays_level_then_x1_then_leaves(key, level):
 
 def test_two_stage_chunked_accumulation_is_invariant(monkeypatch):
     """Splitting the leaf block into small chunks must not change the draw."""
-    key = (1173,)  # this substream's first level draw is deep (N = 11)
+    # the first substream whose first level draw is deep (N >= 10: 1024 leaves, 16 chunks of 64)
+    key = _first_key(lambda key: sample_geometric_level(0.6, derive_substream(1, key)) >= 10, range(200_000))
     baseline = two_stage_muse(gaussian_iid(horizon=2), identity_reward(), 0.6, derive_substream(1, key))
-    assert baseline.top_level >= 8
+    assert baseline.top_level >= 10
     monkeypatch.setattr(est, "_MAX_GROUP", 64)
     chunked = two_stage_muse(gaussian_iid(horizon=2), identity_reward(), 0.6, derive_substream(1, key))
     assert chunked.value == baseline.value

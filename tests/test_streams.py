@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from musemc.streams import RandomStream, as_generator, as_stream, derive_substream
+from musemc.streams import BIT_GENERATOR, RandomStream, as_generator, as_stream, derive_substream
 
 
 def test_same_key_same_draws():
     a = RandomStream(42, (7, 3)).generator.random(100)
     b = RandomStream(42, (7, 3)).generator.random(100)
     assert np.array_equal(a, b)
+
+
+def test_stream_law_is_pcg64dxsm_over_the_seed_sequence():
+    """A stream's draws are those of PCG64DXSM seeded by SeedSequence(seed, spawn_key=path)."""
+    for seed, path in ((0, ()), (42, (7, 3)), (2**63, (1 << 62, 0))):
+        want = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=path)))
+        gen = RandomStream(seed, path).generator
+        assert np.array_equal(gen.random(64), want.random(64))
+        assert np.array_equal(gen.standard_normal(64), want.standard_normal(64))
+    assert BIT_GENERATOR is np.random.PCG64DXSM
 
 
 def test_generator_is_cached():

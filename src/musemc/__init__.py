@@ -42,7 +42,6 @@ from .policy import (
     decide_stop,
     run_episode,
     run_stopping_policy,
-    write_episode_log,
 )
 from .processes import (
     EMPTY_HISTORY,

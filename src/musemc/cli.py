@@ -39,7 +39,7 @@ from .baselines import TreeSpec, gaussian_dp_oracle, mc1_estimate, mc2_estimate
 from .estimator import MuseReplicateTask, RateSchedule, theoretical_rate_schedule
 from .inference import bootstrap_ci, check_interval_args, clt_ci, self_normalized_variance, summarize, summary_to_json
 from .parallel import ReplicateError, run_replicated, resolve_workers
-from .policy import PolicyConfig, _run_episodes, run_stopping_policy, write_episode_log  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
+from .policy import PolicyConfig, _run_episodes, run_stopping_policy  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
 from .processes import GBM, gaussian_iid, process_spec_from_dict
 from .rewards import identity_reward, reward_spec_from_dict
 from .streams import check_keys, derive_substream
@@ -235,19 +235,24 @@ def _resolve_schedule(args, horizon) -> RateSchedule:
     return RateSchedule(rates=tuple(rates))
 
 
-def _out_path(args, name):
-    return os.path.join(args.out_dir, name)
+def _write_csv(args, name, header, rows):
+    """The one CSV writer: ``header`` and ``rows`` to ``name`` under ``--out-dir``; returns the path.
 
-
-def _write_csv(path, header, rows):
+    The format is the ``csv`` module's defaults, with ``\\r\\n`` line ends.
+    Each float cell, numpy's ``float64`` included, arrives as a float and is
+    written as its shortest round-trip ``repr``, so ``float(cell)`` reads
+    back the exact value.
+    """
+    path = os.path.join(args.out_dir, name)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    return path
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
+def _write_json(args, name, payload):
+    with open(os.path.join(args.out_dir, name), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -283,10 +288,10 @@ def _cmd_estimate(args) -> int:
                           stream=derive_substream(args.seed, (_BOOTSTRAP_KEY,)))
     else:
         ci = clt_ci(summary, alpha=args.alpha)
-    rows = zip(range(summary.n), map(repr, samples.values.tolist()), samples.top_levels.tolist(), samples.costs.tolist())
-    _write_csv(_out_path(args, "replicates.csv"), ["replicate_id", "value", "top_level", "cost"], rows)
-    _write_json(_out_path(args, "summary.json"), summary_to_json(summary, ci))
-    _write_json(_out_path(args, "manifest.json"), manifest.to_json())
+    rows = zip(range(summary.n), samples.values.tolist(), samples.top_levels.tolist(), samples.costs.tolist())
+    _write_csv(args, "replicates.csv", ["replicate_id", "value", "top_level", "cost"], rows)
+    _write_json(args, "summary.json", summary_to_json(summary, ci))
+    _write_json(args, "manifest.json", manifest.to_json())
     print(
         f"n={summary.n}  mean={summary.mean:.6f}  se={summary.std_error:.6f}  "
         f"{100 * ci.level:.0f}% CI [{ci.lo:.6f}, {ci.hi:.6f}]  cost={summary.total_cost}  "
@@ -304,7 +309,7 @@ def _rate_grid(r_min, r_max, step):
 def _cmd_tune_rate(args) -> int:
     if not 0.5 < args.r_min <= args.r_max < 1.0:
         raise ValueError("the rate grid must satisfy 0.5 < r_min <= r_max < 1")
-    if args.step <= 0:
+    if not args.step > 0:
         raise ValueError("step must be positive")
     if args.replicates < 2:
         raise ValueError("tune-rate needs at least two replicates per rate to estimate a variance")
@@ -320,10 +325,9 @@ def _cmd_tune_rate(args) -> int:
         merit = self_normalized_variance(samples.values, samples.costs)
         rows.append((float(r), float(samples.costs.mean()), summary.variance, merit))
         manifests.append(manifest.to_json())
-    path = _out_path(args, "rate_grid.csv")
-    _write_csv(path, ["r", "mean_cost", "variance", "self_normalized_variance"],
-               ([f"{r:.6f}", repr(cost), repr(variance), repr(merit)] for r, cost, variance, merit in rows))
-    _write_json(_out_path(args, "manifest.json"), {"command": "tune-rate", "points": manifests})
+    path = _write_csv(args, "rate_grid.csv", ["r", "mean_cost", "variance", "self_normalized_variance"],
+                      ([f"{r:.6f}", cost, variance, merit] for r, cost, variance, merit in rows))
+    _write_json(args, "manifest.json", {"command": "tune-rate", "points": manifests})
     best = min(rows, key=lambda row: row[3])
     print(f"minimum self-normalized variance {best[3]:.4f} at r={best[0]:.3f}  -> {path}")
     return 0
@@ -371,9 +375,8 @@ def _cmd_gaussian_suite(args) -> int:
             f"T={horizon}: oracle={oracle:.6f}  muse={summary.mean:.6f} (se {summary.std_error:.6f})  "
             f"mc1={mc1:.6f} (bias {mc1 - oracle:+.4f})  mc2={mc2:.6f} (bias {mc2 - oracle:+.4f})"
         )
-    path = _out_path(args, "gaussian_suite.csv")
-    _write_csv(path, list(rows[0]), ([v if isinstance(v, int) else repr(float(v)) for v in row.values()] for row in rows))
-    _write_json(_out_path(args, "manifest.json"), {"command": "gaussian-suite", "points": manifests})
+    path = _write_csv(args, "gaussian_suite.csv", list(rows[0]), (row.values() for row in rows))
+    _write_json(args, "manifest.json", {"command": "gaussian-suite", "points": manifests})
     print(f"-> {path}")
     return 0
 
@@ -392,7 +395,9 @@ def _cmd_stop(args) -> int:
     outcomes, reward_summary, manifest = _run_episodes(
         process, reward_spec, policy_config, args.episodes, args.seed, args.workers, record
     )
-    write_episode_log(_out_path(args, "episodes.csv"), outcomes)
+    _write_csv(args, "episodes.csv", ["episode_id", "tau", "realized_reward", "stage", "fx", "y_bar", "se", "decision"],
+               ([o.episode, o.tau, o.realized_reward, d.stage, d.fx, d.y_bar, d.std_error, d.decision]
+                for o in outcomes for d in o.diagnostics))
     taus = np.array([o.tau for o in outcomes], dtype=float)
     payload = {
         "episodes": len(outcomes),
@@ -401,8 +406,8 @@ def _cmd_stop(args) -> int:
         "mean_tau": float(taus.mean()),
         "total_inner_cost": reward_summary.total_cost,
     }
-    _write_json(_out_path(args, "policy_summary.json"), payload)
-    _write_json(_out_path(args, "manifest.json"), manifest.to_json())
+    _write_json(args, "policy_summary.json", payload)
+    _write_json(args, "manifest.json", manifest.to_json())
     print(
         f"episodes={len(outcomes)}  mean reward={reward_summary.mean:.6f} (se {reward_summary.std_error:.6f})  "
         f"mean tau={taus.mean():.3f}  -> {args.out_dir}"

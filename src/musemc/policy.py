@@ -15,7 +15,6 @@ episode (``run_episode``) is a block of one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -226,15 +225,3 @@ class PolicyEpisodeTask:
             PolicyOutcome(start + j, int(tau[j]), float(realized[j]), int(inner_cost[j]), tuple(diagnostics[j]))
             for j in range(count)
         ]
-
-
-def write_episode_log(path, outcomes) -> None:
-    """Long-format CSV: one row per decision stage of each episode."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode_id", "tau", "realized_reward", "stage", "fx", "y_bar", "se", "decision"])
-        for o in outcomes:
-            for d in o.diagnostics:
-                writer.writerow(
-                    [o.episode, o.tau, repr(o.realized_reward), d.stage, repr(d.fx), repr(d.y_bar), repr(d.std_error), d.decision]
-                )

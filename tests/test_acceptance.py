@@ -15,6 +15,7 @@ import math
 import time
 
 import numpy as np
+from scipy import stats
 
 from musemc import (
     PolicyConfig,
@@ -222,20 +223,42 @@ def test_criterion_06_antithetic_structure():
 
 
 def test_criterion_07_two_stage_cost_law():
-    """Every replicate costs exactly 1 + 2^N; mean cost at r=0.6 within 5% of E[1 + 2^N] = 4."""
+    """Every replicate costs exactly 1 + 2^N, and N follows the level law at r = 0.6.
+
+    E[4^N] is infinite for r <= 3/4, so the mean of 1 + 2^N has infinite
+    variance and no fixed tolerance on it has a false-alarm rate.  Two checks
+    with stated rates take its place.  The count of each level 0..9, and of
+    the levels >= 10, lies within its exact binomial quantiles at 1e-6/11
+    (Bonferroni over the 11 cells: family-wise false alarm below 1e-6; the
+    normal z-bound would understate it tenfold, as the two rarest cells
+    expect 16 and 10 counts).  The mean of 1 + 2^min(N, 10), of finite
+    variance, lies within 5 exact standard errors of its exact expectation
+    3.78525: 5.7e-7 two-sided under the normal approximation, about 3e-6
+    once the Edgeworth term for the mean's skew (0.15) is added.
+    """
     process = gaussian_iid(2)
     rew = identity_reward()
-    n = 100_000
+    r, n, top = 0.6, 100_000, 10
     costs = np.empty(n, dtype=np.int64)
     levels = np.empty(n, dtype=np.int64)
     for i in range(n):
-        s = two_stage_muse(process, rew, 0.6, derive_substream(2, (i,)))
+        s = two_stage_muse(process, rew, r, derive_substream(2, (i,)))
         costs[i] = s.cost
         levels[i] = s.top_level
     exact = bool(np.all(costs == 1 + 2 ** levels))
-    mean_cost = float(costs.mean())
-    ok = exact and abs(mean_cost - 4.0) <= 0.2
-    _check(7, ok, f"cost==1+2^N for all {n}: {exact}; mean cost {mean_cost:.4f} within 4 +/- 0.2")
+    p = r * (1 - r) ** np.arange(top + 1.0)
+    p[top] = (1 - r) ** top  # P(N >= top)
+    counts = np.bincount(np.minimum(levels, top), minlength=top + 1)
+    tail = 1e-6 / (2 * (top + 1))
+    in_bounds = bool(np.all((stats.binom.ppf(tail, n, p) <= counts) & (counts <= stats.binom.isf(tail, n, p))))
+    z_max = float(np.max(np.abs(counts - n * p) / np.sqrt(n * p * (1 - p))))
+    capped = 1.0 + 2.0 ** np.arange(top + 1)  # 1 + 2^min(N, top), by cell
+    mean = float(p @ capped)
+    variance = float(p @ capped**2) - mean**2
+    z_mean = (float(capped[np.minimum(levels, top)].mean()) - mean) / math.sqrt(variance / n)
+    ok = exact and in_bounds and abs(z_mean) <= 5.0
+    _check(7, ok, f"cost==1+2^N for all {n}: {exact}; level counts within exact bounds: {in_bounds} (max |z| {z_max:.2f}); "
+                  f"mean of 1+2^min(N,{top}) at z={z_mean:.2f} of {mean:.5f}, bound 5")
 
 
 def test_criterion_08_exhaustive_oracle_unbiasedness():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ import pytest
 import musemc
 import musemc.cli as cli
 from musemc.cli import _build_parser, _rate_grid, main
-from musemc.fixtures import mixing_three_stage
+from musemc.fixtures import deterministic_chain, mixing_three_stage
 from musemc.parallel import BLOCK_SIZE, ReplicateError
+from musemc.rewards import identity_reward
 
 
 def run(args):
@@ -200,6 +202,8 @@ def test_interval_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, ca
         # an empty date list names --dates, not the horizon it would imply
         (["estimate", "--process", "gbm", "--dates="], "--dates must list at least one date, got ''"),
         (["bermudan", "--dates", ","], "--dates must list at least one date, got ','"),
+        # a NaN step is refused by name, not as a failed integer conversion
+        (["tune-rate", "--step", "nan"], "step must be positive"),
     ],
 )
 def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, message):
@@ -526,6 +530,23 @@ def test_stop_on_the_mixing_chain_writes_pinned_bytes(tmp_path):
         "episodes.csv": "9f937205d874785d7db751152833fcde5f83e119a78bc3db38ef0a9493bdda34",
         "policy_summary.json": "15fc779da850e2abcba39c2139bfee901d1b143d4bdb87bb6dd94b76dbc72483",
     }
+
+
+def test_episode_log_golden(tmp_path):
+    """Deterministic chains make `muse stop`'s episode log fully predictable, byte for byte."""
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({"process": asdict(deterministic_chain((2.0, 5.0))), "reward": asdict(identity_reward())}))
+    code = run(["stop", "--config", cfg, "--rates", 0.6, "--inner-replicates", 3, "--episodes", 2,
+                "--seed", 95, "--workers", 1, "--out-dir", tmp_path])
+    assert code == 0
+    want = (
+        "episode_id,tau,realized_reward,stage,fx,y_bar,se,decision\r\n"
+        "0,2,5.0,1,2.0,5.0,0.0,continue\r\n"
+        "0,2,5.0,2,5.0,nan,nan,forced\r\n"
+        "1,2,5.0,1,2.0,5.0,0.0,continue\r\n"
+        "1,2,5.0,2,5.0,nan,nan,forced\r\n"
+    )
+    assert (tmp_path / "episodes.csv").read_bytes().decode() == want
 
 
 @pytest.mark.parametrize(

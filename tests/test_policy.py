@@ -19,7 +19,6 @@ from musemc.policy import (
     decide_stop,
     run_episode,
     run_stopping_policy,
-    write_episode_log,
 )
 from musemc.processes import EMPTY_HISTORY, gaussian_iid
 from musemc.rewards import identity_reward
@@ -300,19 +299,3 @@ def test_run_stopping_policy_guards():
         run_stopping_policy(proc, identity_reward(), config(2), 0, RandomStream(94))
     with pytest.raises(TypeError):
         run_stopping_policy(proc, identity_reward(), config(2), 1, None)
-
-
-def test_episode_log_golden(tmp_path):
-    """Deterministic chains make the CSV fully predictable, byte for byte."""
-    chain = deterministic_chain((2.0, 5.0))
-    outcomes, _ = run_stopping_policy(chain, identity_reward(), config(2, inner=3), 2, RandomStream(95))
-    path = tmp_path / "episodes.csv"
-    write_episode_log(path, outcomes)
-    want = (
-        "episode_id,tau,realized_reward,stage,fx,y_bar,se,decision\r\n"
-        "0,2,5.0,1,2.0,5.0,0.0,continue\r\n"
-        "0,2,5.0,2,5.0,nan,nan,forced\r\n"
-        "1,2,5.0,1,2.0,5.0,0.0,continue\r\n"
-        "1,2,5.0,2,5.0,nan,nan,forced\r\n"
-    )
-    assert path.read_bytes().decode() == want

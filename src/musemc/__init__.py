@@ -44,9 +44,7 @@ from .policy import (
     run_stopping_policy,
 )
 from .processes import (
-    EMPTY_HISTORY,
     ProcessSpec,
-    TrajectoryHistory,
     gaussian_iid,
     gbm,
     process_spec_from_dict,

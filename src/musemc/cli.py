@@ -40,7 +40,7 @@ from .estimator import MuseReplicateTask, RateSchedule, theoretical_rate_schedul
 from .inference import bootstrap_ci, check_interval_args, clt_ci, self_normalized_variance, summarize, summary_to_json
 from .parallel import ReplicateError, run_replicated, resolve_workers
 from .policy import PolicyConfig, _run_episodes, run_stopping_policy  # noqa: F401 (perfbench wraps cli.run_stopping_policy)
-from .processes import GBM, gaussian_iid, process_spec_from_dict
+from .processes import GBM, GBM_DEFAULTS, gaussian_iid, process_spec_from_dict
 from .rewards import identity_reward, reward_spec_from_dict
 from .streams import check_keys, derive_substream
 
@@ -108,13 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gaussian_suite, delta_mom=None)
 
     p = sub.add_parser("bermudan", parents=[common], help="discounted basket put under multi-asset GBM")
-    # read into the names the shared instance/schedule path uses
+    # read into the names the shared instance/schedule path uses; bermudan's own presets are --dim and
+    # --dates, and the other instance flags default to None, so they take estimate's GBM defaults
+    gbm = _GBM_FLAG_DEFAULTS
     p.add_argument("--dim", dest="dimension", type=int, default=5)
-    p.add_argument("--strike", type=float, default=100.0)
-    p.add_argument("--spot", type=float, default=100.0)
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--rate", dest="gamma", type=float, default=0.05, help="risk-free rate (drift and discount)")
-    p.add_argument("--div", type=float, default=0.0, help="dividend yield")
+    p.add_argument("--strike", type=float, help="basket-put strike (default: the spot)")
+    p.add_argument("--spot", type=float, help=f"default: {gbm['spot']}")
+    p.add_argument("--sigma", type=float, help=f"default: {gbm['sigma']}")
+    p.add_argument("--rate", dest="gamma", type=float, help=f"risk-free rate (drift and discount; default: {gbm['gamma']})")
+    p.add_argument("--div", type=float, help=f"dividend yield (default: {gbm['div_yield']})")
     p.add_argument("--dates", default="0,1,2,3", help="comma-separated exercise dates (years)")
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--geo-rate", dest="rates", default="0.6", help="geometric rate(s) for the level draws")
@@ -139,21 +141,22 @@ def _add_config_flag(p):
     p.add_argument("--config", default=None, help="JSON file with 'process'/'reward' objects")
 
 
-# The defaults of estimate's and stop's process flags, by kind (--process itself defaults to gaussian-iid).
-# The flags default to None, so only a flag that is given becomes a config field.
-_FLAG_DEFAULTS = {"gaussian-iid": {"horizon": 3, "dimension": 1},
-                  "gbm": {"dimension": 1, "gamma": 0.05, "div": 0.0, "sigma": 0.2, "spot": 100.0}}
+# The defaults of the process flags for the fields a config requires, by kind (--process itself defaults to
+# gaussian-iid); a GBM's other fields take processes.GBM_DEFAULTS in the config reader.  The flags default
+# to None, so only a flag that is given becomes a config field.
+_FLAG_DEFAULTS = {"gaussian-iid": {"horizon": 3, "dimension": 1}, "gbm": {"sigma": 0.2, "spot": 100.0}}
+_GBM_FLAG_DEFAULTS = {**GBM_DEFAULTS, **_FLAG_DEFAULTS["gbm"]}  # for the help strings
 _PROCESS_FIELDS = {"horizon": "horizon", "dimension": "dimension", "gamma": "gamma", "div": "div_yield",
                    "sigma": "sigma", "spot": "spot", "dates": "times"}  # flag -> ProcessSpec field
 
 
 def _add_process_flags(p):
-    gauss, gbm = _FLAG_DEFAULTS["gaussian-iid"], _FLAG_DEFAULTS["gbm"]
+    gauss, gbm = _FLAG_DEFAULTS["gaussian-iid"], _GBM_FLAG_DEFAULTS
     p.add_argument("--process", choices=["gaussian-iid", "gbm", "user-discrete"], help="default: gaussian-iid")
     p.add_argument("--horizon", type=int, help=f"default: {gauss['horizon']}; a GBM's is its number of --dates")
     p.add_argument("--dimension", type=int, help=f"default: {gauss['dimension']}")
     p.add_argument("--gamma", type=float, help=f"GBM drift / discount rate (default: {gbm['gamma']})")
-    p.add_argument("--div", type=float, help=f"GBM dividend yield (default: {gbm['div']})")
+    p.add_argument("--div", type=float, help=f"GBM dividend yield (default: {gbm['div_yield']})")
     p.add_argument("--sigma", type=float, help=f"GBM volatility (default: {gbm['sigma']})")
     p.add_argument("--spot", type=float, help=f"GBM spot (default: {gbm['spot']})")
     p.add_argument("--dates", help="comma-separated stage times of a GBM (required for one)")
@@ -300,10 +303,18 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+_MAX_GRID_POINTS = 10_000  # the default grid has 20
+
+
 def _rate_grid(r_min, r_max, step):
-    """r_min, r_min + step, ... up to r_max, built by integer index so no point passes r_max."""
-    count = int(np.floor((r_max - r_min) / step + 1e-9)) + 1
-    return np.minimum(r_min + step * np.arange(count), r_max)
+    """r_min, r_min + step, ... up to r_max, built by integer index so no point passes r_max.
+
+    A grid of more than ``_MAX_GRID_POINTS`` points is refused before it is allocated.
+    """
+    count = np.floor((r_max - r_min) / step + 1e-9) + 1
+    if not count <= _MAX_GRID_POINTS:
+        raise ValueError(f"--step {step!r} gives more than {_MAX_GRID_POINTS} rate grid points between --r-min and --r-max")
+    return np.minimum(r_min + step * np.arange(int(count)), r_max)
 
 
 def _cmd_tune_rate(args) -> int:
@@ -325,8 +336,7 @@ def _cmd_tune_rate(args) -> int:
         merit = self_normalized_variance(samples.values, samples.costs)
         rows.append((float(r), float(samples.costs.mean()), summary.variance, merit))
         manifests.append(manifest.to_json())
-    path = _write_csv(args, "rate_grid.csv", ["r", "mean_cost", "variance", "self_normalized_variance"],
-                      ([f"{r:.6f}", cost, variance, merit] for r, cost, variance, merit in rows))
+    path = _write_csv(args, "rate_grid.csv", ["r", "mean_cost", "variance", "self_normalized_variance"], rows)
     _write_json(args, "manifest.json", {"command": "tune-rate", "points": manifests})
     best = min(rows, key=lambda row: row[3])
     print(f"minimum self-normalized variance {best[3]:.4f} at r={best[0]:.3f}  -> {path}")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .inference import BatchSummary, summarize
 from .parallel import run_replicated
-from .processes import ProcessSpec, TrajectoryHistory, _history_parent, check_int, compile_stepper
+from .processes import ProcessSpec, _history_parent, check_int, compile_stepper
 from .rewards import RewardSpec, compile_reward
 from .streams import as_generator
 
@@ -344,7 +344,7 @@ def two_stage_muse(process: ProcessSpec, reward_spec: RewardSpec, r: float, stre
 
 
 def multi_stage_muse(
-    history: TrajectoryHistory,
+    history: tuple,
     process: ProcessSpec,
     reward_spec: RewardSpec,
     schedule: RateSchedule,
@@ -353,7 +353,8 @@ def multi_stage_muse(
 ) -> EstimatorSample:
     """One replicate of the tail value U_{T-k} given a realized stage-k history.
 
-    The stage k is ``history.stage``.  Unbiased when ``max_level`` is
+    The history is the tuple of realized states ``(x_1, ..., x_k)``, and
+    the stage k is its length.  Unbiased when ``max_level`` is
     ``None``; with levels capped at ``max_level`` the sample is flagged
     ``biased``.
     """
@@ -361,7 +362,7 @@ def multi_stage_muse(
         check_int(max_level, "max_level", low=0)
     parents = _history_parent(process, history)
     ctx = _compile_context(process, reward_spec, schedule, max_level)
-    v, c, lv = _run_batch(history.stage, parents, 1, as_generator(stream), ctx)
+    v, c, lv = _run_batch(len(history), parents, 1, as_generator(stream), ctx)
     return EstimatorSample(value=float(v[0]), top_level=int(lv[0]), cost=int(c[0]), biased=max_level is not None)
 
 

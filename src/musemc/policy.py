@@ -96,11 +96,11 @@ class PolicyOutcome:
     diagnostics: tuple[StageDecision, ...]
 
 
-def decide_stop(history, fx: float, process: ProcessSpec, reward_spec: RewardSpec, config: PolicyConfig, stream) -> tuple[bool, StageDecision]:
-    """One decision at stage ``history.stage``: estimate the continuation value and compare against fx."""
+def decide_stop(history: tuple, fx: float, process: ProcessSpec, reward_spec: RewardSpec, config: PolicyConfig, stream) -> tuple[bool, StageDecision]:
+    """One decision at stage ``len(history)``: estimate the continuation value and compare against fx."""
     last = _history_parent(process, history, first=1)
     ctx = _compile_context(process, reward_spec, config.schedule)
-    stop, decisions, _ = _decide(last, history.stage, np.array([float(fx)]), config, as_generator(stream), ctx)
+    stop, decisions, _ = _decide(last, len(history), np.array([float(fx)]), config, as_generator(stream), ctx)
     return bool(stop[0]), decisions[0]
 
 

@@ -35,6 +35,9 @@ _KINDS = (GAUSSIAN_IID, GBM, USER_DISCRETE)
 
 _PROB_TOL = 1e-12
 
+# The GBM fields a config may omit, and the values they take then; the CLI's flags default to them too.
+GBM_DEFAULTS = {"dimension": 1, "gamma": 0.05, "div_yield": 0.0}
+
 
 @dataclass(frozen=True)
 class ProcessSpec:
@@ -166,32 +169,11 @@ def user_discrete(support, transitions) -> ProcessSpec:
     )
 
 
-@dataclass(frozen=True)
-class TrajectoryHistory:
-    """A realized prefix ``(x_1, ..., x_k)``; ``stage`` is its length ``k``."""
-
-    states: tuple = ()
-
-    @property
-    def stage(self) -> int:
-        return len(self.states)
-
-    def last(self):
-        return self.states[-1] if self.states else None
-
-    def extended(self, state) -> "TrajectoryHistory":
-        """History with one more realized state appended."""
-        arr = np.asarray(state, dtype=float)
-        return TrajectoryHistory(self.states + (arr,))
-
-
-EMPTY_HISTORY = TrajectoryHistory()
-
-
-def validate_history(spec: ProcessSpec, history: TrajectoryHistory):
-    if history.stage > spec.horizon:
-        raise ValueError(f"history has stage {history.stage} beyond horizon {spec.horizon}")
-    for s, state in enumerate(history.states, start=1):
+def validate_history(spec: ProcessSpec, history: tuple):
+    """Check a realized prefix ``(x_1, ..., x_k)``, whose stage is its length ``k``, state by state."""
+    if len(history) > spec.horizon:
+        raise ValueError(f"history has stage {len(history)} beyond horizon {spec.horizon}")
+    for s, state in enumerate(history, start=1):
         arr = np.asarray(state, dtype=float)
         if arr.shape != (spec.dimension,):
             raise ValueError(f"history state at stage {s} has shape {arr.shape}, expected ({spec.dimension},)")
@@ -199,16 +181,16 @@ def validate_history(spec: ProcessSpec, history: TrajectoryHistory):
             raise ValueError(f"history state at stage {s} is not finite")
 
 
-def _history_parent(spec: ProcessSpec, history: TrajectoryHistory, first: int = 0):
+def _history_parent(spec: ProcessSpec, history: tuple, first: int = 0):
     """Check that ``history`` is a valid prefix whose stage lies in ``[first, horizon)``.
 
     Returns its last state as a ``(1, dimension)`` row, or ``None`` at stage 0.
     """
     validate_history(spec, history)
-    stage = history.stage
+    stage = len(history)
     if not first <= stage <= spec.horizon - 1:
         raise ValueError(f"stage must lie in [{first}, {spec.horizon - 1}], got {stage}")
-    return None if stage == 0 else np.asarray(history.last(), dtype=float)[None, :]
+    return None if stage == 0 else np.asarray(history[-1], dtype=float)[None, :]
 
 
 def compile_stepper(spec: ProcessSpec):
@@ -292,7 +274,7 @@ def compile_stepper(spec: ProcessSpec):
     return step
 
 
-def sample_next(spec: ProcessSpec, history: TrajectoryHistory, count: int, stream) -> np.ndarray:
+def sample_next(spec: ProcessSpec, history: tuple, count: int, stream) -> np.ndarray:
     """Draw ``count`` iid successors of ``history``; shape ``(count, dimension)``.
 
     Conditioning is on the full realized prefix; for the shipped kinds the
@@ -301,7 +283,7 @@ def sample_next(spec: ProcessSpec, history: TrajectoryHistory, count: int, strea
     check_int(count, "count")
     parent = _history_parent(spec, history)
     parents = None if parent is None else np.broadcast_to(parent, (count, spec.dimension))
-    return compile_stepper(spec)(history.stage + 1, parents, count, as_generator(stream))
+    return compile_stepper(spec)(len(history) + 1, parents, count, as_generator(stream))
 
 
 def simulate_paths(spec: ProcessSpec, n_paths: int, stream) -> np.ndarray:
@@ -328,10 +310,10 @@ def _gaussian_from_dict(data):
 def _gbm_from_dict(data):
     times = data["times"]
     return gbm(
-        dimension=data.get("dimension", 1),
+        dimension=data.get("dimension", GBM_DEFAULTS["dimension"]),
         horizon=data.get("horizon", len(times)),
-        gamma=float(data.get("gamma", 0.0)),
-        div_yield=float(data.get("div_yield", 0.0)),
+        gamma=float(data.get("gamma", GBM_DEFAULTS["gamma"])),
+        div_yield=float(data.get("div_yield", GBM_DEFAULTS["div_yield"])),
         sigma=float(data["sigma"]),
         spot=float(data["spot"]),
         times=times,

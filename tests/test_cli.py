@@ -150,6 +150,21 @@ def test_estimate_from_config_file(tmp_path):
     assert abs(summary["mean"] - 1.0) <= 4 * summary["std_error"]
 
 
+def test_gbm_config_without_gamma_runs_its_flag_built_twin(tmp_path):
+    """A GBM config that omits gamma, div_yield and dimension takes the flags' defaults, 0.05, 0 and 1."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"process": {"kind": "gbm", "times": [0, 1, 2], "sigma": 0.2, "spot": 100.0}}))
+    common = ["--rates", 0.6, "--replicates", 300, "--seed", 0, "--workers", 1]
+    a, b = tmp_path / "config", tmp_path / "flags"
+    assert run(["estimate", "--config", cfg, *common, "--out-dir", a]) == 0
+    assert run(["estimate", "--process", "gbm", "--dates", "0,1,2", "--sigma", 0.2, "--spot", 100, *common,
+                "--out-dir", b]) == 0
+    assert (a / "replicates.csv").read_bytes() == (b / "replicates.csv").read_bytes()
+    configs = [json.loads((out / "manifest.json").read_text())["config"] for out in (a, b)]
+    assert configs[0] == configs[1]
+    assert configs[0]["process"]["gamma"] == configs[0]["reward"]["discount"] == 0.05
+
+
 def test_estimate_flag_validation(tmp_path):
     assert run(["estimate", "--rates", 0.4, "--out-dir", tmp_path]) == 1
     assert run(["estimate", "--rates", 0.6, "--delta-mom", 0.1, "--out-dir", tmp_path]) == 1
@@ -204,6 +219,8 @@ def test_interval_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, ca
         (["bermudan", "--dates", ","], "--dates must list at least one date, got ','"),
         # a NaN step is refused by name, not as a failed integer conversion
         (["tune-rate", "--step", "nan"], "step must be positive"),
+        # a grid too fine to run is refused before it is allocated
+        (["tune-rate", "--step", "1e-12"], "--step 1e-12 gives more than 10000 rate grid points between --r-min and --r-max"),
     ],
 )
 def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, message):
@@ -348,7 +365,7 @@ def test_tune_rate_grid_csv(tmp_path):
     rows = read_csv(tmp_path / "rate_grid.csv")
     assert rows[0] == ["r", "mean_cost", "variance", "self_normalized_variance"]
     assert len(rows) == 4
-    assert [r[0] for r in rows[1:]] == ["0.580000", "0.590000", "0.600000"]
+    assert [r[0] for r in rows[1:]] == ["0.58", "0.59", "0.6"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert len(manifest["points"]) == 3
 
@@ -358,7 +375,7 @@ def test_tune_rate_writes_pinned_bytes(tmp_path):
     code = run(["tune-rate", "--horizon", 2, "--r-min", 0.55, "--r-max", 0.60, "--step", 0.025,
                 "--replicates", 1500, "--seed", 21, "--out-dir", tmp_path])
     assert code == 0
-    assert sha256(tmp_path / "rate_grid.csv") == "255682994c428e850cd7d2814d8b28fd6cf15e2336b332c1560f57f4f7384f95"
+    assert sha256(tmp_path / "rate_grid.csv") == "c1ea48a63bdc15b05f301ec2f6394e1e7582f87cf19252b61b7a02ab2c1e87c8"
 
 
 def test_tune_rate_default_grid_stays_inside_its_bounds():

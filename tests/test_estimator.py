@@ -23,7 +23,7 @@ from musemc.estimator import (
 from musemc.fixtures import deterministic_chain, two_point_two_stage
 from musemc.inference import summarize
 from musemc.parallel import BLOCK_SIZE, run_replicated
-from musemc.processes import EMPTY_HISTORY, gaussian_iid
+from musemc.processes import gaussian_iid
 from musemc.rewards import identity_reward
 from musemc.streams import RandomStream, derive_substream
 
@@ -115,7 +115,7 @@ def test_level_cap_must_be_a_nonnegative_int():
         with pytest.raises(ValueError, match="max_level must be an integer >= 0"):
             MuseReplicateTask(proc, identity_reward(), sched, cap)
         with pytest.raises(ValueError, match="max_level must be an integer >= 0"):
-            multi_stage_muse(EMPTY_HISTORY, proc, identity_reward(), sched, cap, stream(0))
+            multi_stage_muse((), proc, identity_reward(), sched, cap, stream(0))
 
 
 def test_truncated_pmf_renormalizes():
@@ -401,7 +401,7 @@ def test_two_stage_chunked_accumulation_is_invariant(monkeypatch):
 def test_base_case_is_deterministic():
     chain = deterministic_chain((7.0,))
     sched = RateSchedule.constant(0.6, 1)
-    s = multi_stage_muse(EMPTY_HISTORY, chain, identity_reward(), sched, stream=stream(27))
+    s = multi_stage_muse((), chain, identity_reward(), sched, stream=stream(27))
     assert s.value == 7.0
     assert s.cost == 1
     assert s.top_level == 0
@@ -410,7 +410,7 @@ def test_base_case_is_deterministic():
 def test_final_stage_given_history_is_deterministic():
     chain = deterministic_chain((3.0, 9.0))
     sched = RateSchedule.constant(0.6, 2)
-    hist = EMPTY_HISTORY.extended([3.0])
+    hist = ([3.0],)
     s = multi_stage_muse(hist, chain, identity_reward(), sched, stream=stream(28))
     assert s.value == 9.0
     assert s.cost == 1
@@ -443,7 +443,7 @@ def test_multi_stage_constant_reward_unbiased():
     sched = RateSchedule.constant(0.6, 3)
     values = []
     for i in range(4000):
-        s = multi_stage_muse(EMPTY_HISTORY, chain, identity_reward(), sched, stream=stream(i, seed=32))
+        s = multi_stage_muse((), chain, identity_reward(), sched, stream=stream(i, seed=32))
         assert math.isfinite(s.value)
         assert s.cost >= 3
         values.append(s.value)
@@ -455,18 +455,18 @@ def test_multi_stage_constant_reward_unbiased():
 def test_multi_stage_guards():
     proc = gaussian_iid(horizon=3)
     sched = RateSchedule.constant(0.6, 3)
-    full = EMPTY_HISTORY.extended([0.0]).extended([0.0]).extended([0.0])
+    full = ([0.0], [0.0], [0.0])
     with pytest.raises(ValueError):  # no level is drawn at the last stage
         multi_stage_muse(full, proc, identity_reward(), sched, stream=stream(33))
     with pytest.raises(ValueError):  # schedule horizon mismatch
-        multi_stage_muse(EMPTY_HISTORY, proc, identity_reward(), RateSchedule.constant(0.6, 2), stream=stream(33))
+        multi_stage_muse((), proc, identity_reward(), RateSchedule.constant(0.6, 2), stream=stream(33))
 
 
 def test_truncated_policy_flags_bias_and_fixes_cost():
     proc = gaussian_iid(horizon=4)
     sched = RateSchedule.constant(0.6, 4)
     for i in range(50):
-        s = multi_stage_muse(EMPTY_HISTORY, proc, identity_reward(), sched, 0, stream(i, seed=34))
+        s = multi_stage_muse((), proc, identity_reward(), sched, 0, stream(i, seed=34))
         assert s.biased
         assert s.top_level == 0
         assert s.cost == 4  # a single path: one draw per stage
@@ -484,7 +484,7 @@ def test_exact_zero_survives_chunked_reduction(monkeypatch):
     sched = RateSchedule.constant(0.6, 2)
     hit_zero = hit_deep = 0
     for i in range(200):
-        s = multi_stage_muse(EMPTY_HISTORY, chain, identity_reward(), sched, stream=stream(i, seed=35))
+        s = multi_stage_muse((), chain, identity_reward(), sched, stream=stream(i, seed=35))
         if s.top_level == 0:
             assert s.value == 2.5 / 0.6
         else:
@@ -725,7 +725,7 @@ def test_replicate_task_matches_direct_call():
     assert np.array_equal(block.top_levels, levels)
     assert block[3] == EstimatorSample(float(values[3]), int(levels[3]), int(costs[3]))
     # a one-replicate block is exactly one multi_stage_muse replicate
-    direct = multi_stage_muse(EMPTY_HISTORY, proc, identity_reward(), sched, stream=derive_substream(41, (2,)))
+    direct = multi_stage_muse((), proc, identity_reward(), sched, stream=derive_substream(41, (2,)))
     via_task = task(2, derive_substream(41, (2,)))
     assert via_task == EstimatorSample(direct.value, direct.top_level, direct.cost)
 

@@ -7,7 +7,7 @@ from musemc.fixtures import (
     skewed_three_stage,
     two_point_two_stage,
 )
-from musemc.processes import EMPTY_HISTORY, simulate_paths
+from musemc.processes import simulate_paths
 from musemc.streams import derive_substream
 
 

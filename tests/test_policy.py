@@ -20,7 +20,7 @@ from musemc.policy import (
     run_episode,
     run_stopping_policy,
 )
-from musemc.processes import EMPTY_HISTORY, gaussian_iid
+from musemc.processes import gaussian_iid
 from musemc.rewards import identity_reward
 from musemc.streams import RandomStream, derive_substream
 
@@ -34,7 +34,7 @@ def config(horizon, inner=50, tolerance=None, alpha=0.05):
 
 def test_decide_stop_on_dominant_immediate_reward():
     chain = deterministic_chain((5.0, 1.0))
-    hist = EMPTY_HISTORY.extended([5.0])
+    hist = ([5.0],)
     stop, decision = decide_stop(hist, 5.0, chain, identity_reward(), config(2), derive_substream(0, (80,)))
     assert stop
     assert decision.decision == STOP
@@ -45,7 +45,7 @@ def test_decide_stop_on_dominant_immediate_reward():
 def test_decide_stop_waits_for_a_dominant_continuation():
     # continuation value 12 vs immediate 2: continue, for any of 100 seeds
     chain = deterministic_chain((2.0, 12.0))
-    hist = EMPTY_HISTORY.extended([2.0])
+    hist = ([2.0],)
     for seed in range(100):
         stop, decision = decide_stop(
             hist, 2.0, chain, identity_reward(), config(2, tolerance=0.5), derive_substream(seed, (81,))
@@ -56,15 +56,15 @@ def test_decide_stop_waits_for_a_dominant_continuation():
 
 def test_decide_stop_guards():
     chain = deterministic_chain((5.0, 1.0))
-    hist = EMPTY_HISTORY.extended([5.0])
-    full = hist.extended([1.0])
+    hist = ([5.0],)
+    full = hist + ([1.0],)
     with pytest.raises(ValueError):
         decide_stop(full, 1.0, chain, identity_reward(), config(2), derive_substream(0, (82,)))
     # the history is validated as multi_stage_muse validates it; an i.i.d.
     # Gaussian stepper ignores its parents, so nothing downstream would catch these
     for state in ([0.5, 1.0], [float("nan")]):
         with pytest.raises(ValueError, match="history state at stage 1"):
-            decide_stop(EMPTY_HISTORY.extended(state), 0.5, gaussian_iid(horizon=2), identity_reward(), config(2), derive_substream(0, (82,)))
+            decide_stop((state,), 0.5, gaussian_iid(horizon=2), identity_reward(), config(2), derive_substream(0, (82,)))
 
 
 def test_row_wise_decisions_match_one_row_reductions():

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from musemc.processes import (
-    EMPTY_HISTORY,
     ProcessSpec,
-    TrajectoryHistory,
     compile_stepper,
     gaussian_iid,
     gbm,
@@ -32,17 +30,17 @@ def stream(*path, seed=0):
 
 def test_gaussian_sample_shape_and_mean():
     spec = gaussian_iid(horizon=3, dimension=2)
-    draws = sample_next(spec, EMPTY_HISTORY, 3, stream(0))
+    draws = sample_next(spec, (), 3, stream(0))
     assert draws.shape == (3, 2)
-    big = sample_next(gaussian_iid(horizon=2), EMPTY_HISTORY, 1_000_000, stream(1))
+    big = sample_next(gaussian_iid(horizon=2), (), 1_000_000, stream(1))
     assert abs(big.mean()) < 0.005
 
 
 def test_gaussian_ignores_history():
     spec = gaussian_iid(horizon=3)
-    hist = EMPTY_HISTORY.extended([4.2])
+    hist = ([4.2],)
     a = sample_next(spec, hist, 5, stream(2))
-    b = sample_next(spec, EMPTY_HISTORY, 5, stream(2))
+    b = sample_next(spec, (), 5, stream(2))
     assert np.array_equal(a, b)
 
 
@@ -51,7 +49,7 @@ def test_gaussian_ignores_history():
 
 def test_gbm_zero_volatility_is_deterministic():
     spec = gbm(dimension=1, horizon=2, gamma=0.05, div_yield=0.0, sigma=0.0, spot=100.0, times=(1.0, 2.0))
-    hist = EMPTY_HISTORY.extended([100.0])
+    hist = ([100.0],)
     nxt = sample_next(spec, hist, 4, stream(3))
     assert nxt.shape == (4, 1)
     assert np.allclose(nxt, 100.0 * math.exp(0.05), rtol=0, atol=1e-9)
@@ -61,14 +59,14 @@ def test_gbm_zero_volatility_is_deterministic():
 def test_gbm_stage_one_mean_and_log_variance():
     # x0=100, gamma=0.05, sigma=0.2, dt=1: E[X_1] = 100 e^0.05, Var(ln X_1) = 0.04
     spec = gbm(dimension=1, horizon=3, gamma=0.05, div_yield=0.0, sigma=0.2, spot=100.0, times=(1.0, 2.0, 3.0))
-    x1 = sample_next(spec, EMPTY_HISTORY, 1_000_000, stream(4))
+    x1 = sample_next(spec, (), 1_000_000, stream(4))
     assert abs(x1.mean() - 100.0 * math.exp(0.05)) < 0.1
     assert abs(np.log(x1).var(ddof=1) - 0.04) < 0.001
 
 
 def test_gbm_dividend_yield_shifts_drift():
     spec = gbm(dimension=1, horizon=1, gamma=0.05, div_yield=0.05, sigma=0.0, spot=50.0, times=(2.0,))
-    x1 = sample_next(spec, EMPTY_HISTORY, 1, stream(5))
+    x1 = sample_next(spec, (), 1, stream(5))
     # drift gamma - div - sigma^2/2 = 0: the deterministic path stays flat
     assert np.allclose(x1, 50.0 * math.exp(-0.0), rtol=0, atol=1e-12)
 
@@ -82,7 +80,7 @@ def test_gbm_zero_length_first_step_pins_stage_one():
 
 def test_gbm_coordinates_are_independent():
     spec = gbm(dimension=2, horizon=1, gamma=0.0, div_yield=0.0, sigma=0.2, spot=100.0, times=(1.0,))
-    x = sample_next(spec, EMPTY_HISTORY, 200_000, stream(7))
+    x = sample_next(spec, (), 200_000, stream(7))
     logs = np.log(x)
     corr = np.corrcoef(logs[:, 0], logs[:, 1])[0, 1]
     assert abs(corr) < 0.01
@@ -117,7 +115,7 @@ def test_gbm_start_time_after_first_date_rejected():
 
 def test_discrete_initial_law_frequencies():
     spec = user_discrete((1.0, 2.0, 5.0), ((0.2, 0.5, 0.3),))
-    draws = sample_next(spec, EMPTY_HISTORY, 100_000, stream(8))[:, 0]
+    draws = sample_next(spec, (), 100_000, stream(8))[:, 0]
     for value, p in zip((1.0, 2.0, 5.0), (0.2, 0.5, 0.3)):
         assert abs((draws == value).mean() - p) < 0.01
 
@@ -127,7 +125,7 @@ def test_discrete_conditional_row_frequencies():
         (0.0, 1.0),
         ((0.5, 0.5), ((0.9, 0.1), (0.25, 0.75))),
     )
-    hist = EMPTY_HISTORY.extended([1.0])
+    hist = ([1.0],)
     draws = sample_next(spec, hist, 100_000, stream(9))[:, 0]
     assert abs((draws == 0.0).mean() - 0.25) < 0.01
 
@@ -139,17 +137,17 @@ def test_discrete_unsorted_support_lookup():
         (3.0, 1.0, 2.0),
         ((0.0, 1.0, 0.0), ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))),
     )
-    hist = EMPTY_HISTORY.extended([1.0])
+    hist = ([1.0],)
     nxt = sample_next(spec, hist, 50, stream(10))
     assert np.all(nxt == 2.0)
-    hist2 = EMPTY_HISTORY.extended([2.0])
+    hist2 = ([2.0],)
     assert np.all(sample_next(spec, hist2, 50, stream(11)) == 1.0)
 
 
 def test_discrete_parent_outside_support_rejected():
     spec = user_discrete((0.0, 1.0), ((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0))))
     with pytest.raises(ValueError):
-        sample_next(spec, EMPTY_HISTORY.extended([0.5]), 3, stream(12))
+        sample_next(spec, ([0.5],), 3, stream(12))
 
 
 @pytest.mark.parametrize(
@@ -190,29 +188,21 @@ def test_bad_horizon_and_dimension():
         gaussian_iid(horizon=2, dimension=0)
 
 
-def test_history_bookkeeping():
-    hist = EMPTY_HISTORY.extended([1.0]).extended([2.0])
-    assert hist.stage == 2
-    assert np.array_equal(hist.last(), [2.0])
-    assert EMPTY_HISTORY.last() is None
-    assert EMPTY_HISTORY.stage == 0
-
-
 def test_validate_history_errors():
     spec = gaussian_iid(horizon=2, dimension=2)
     with pytest.raises(ValueError):
-        validate_history(spec, EMPTY_HISTORY.extended([1.0]))  # wrong dimension
+        validate_history(spec, ([1.0],))  # wrong dimension
     with pytest.raises(ValueError):
-        validate_history(spec, TrajectoryHistory((np.zeros(2),) * 3))  # beyond horizon
+        validate_history(spec, (np.zeros(2),) * 3)  # beyond horizon
     with pytest.raises(ValueError):
-        validate_history(spec, EMPTY_HISTORY.extended([float("inf"), 0.0]))
+        validate_history(spec, ([float("inf"), 0.0],))
 
 
 def test_sample_next_guards():
     spec = gaussian_iid(horizon=1)
     with pytest.raises(ValueError):
-        sample_next(spec, EMPTY_HISTORY, 0, stream(13))
-    full = EMPTY_HISTORY.extended([0.0])
+        sample_next(spec, (), 0, stream(13))
+    full = ([0.0],)
     with pytest.raises(ValueError):
         sample_next(spec, full, 1, stream(14))
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._cephes import erfc
 from .processes import ProcessSpec, USER_DISCRETE, check_int, compile_stepper
 from .rewards import RewardSpec, compile_reward
 from .streams import as_generator
@@ -87,8 +88,6 @@ def mc2_estimate(process: ProcessSpec, reward_spec: RewardSpec, tree: TreeSpec, 
 
 
 def _std_normal_cdf(c: float) -> float:
-    from scipy.special import erfc  # deferred: scipy.special is most of the time `import musemc` takes
-
     return 0.5 * erfc(-c / math.sqrt(2.0))
 
 

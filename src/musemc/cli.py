@@ -322,6 +322,8 @@ def _cmd_tune_rate(args) -> int:
         raise ValueError("the rate grid must satisfy 0.5 < r_min <= r_max < 1")
     if not args.step > 0:
         raise ValueError("step must be positive")
+    if args.step == np.inf:
+        raise ValueError("--step must be finite, got inf")
     if args.replicates < 2:
         raise ValueError("tune-rate needs at least two replicates per rate to estimate a variance")
     if args.horizon < 2:
@@ -339,7 +341,7 @@ def _cmd_tune_rate(args) -> int:
     path = _write_csv(args, "rate_grid.csv", ["r", "mean_cost", "variance", "self_normalized_variance"], rows)
     _write_json(args, "manifest.json", {"command": "tune-rate", "points": manifests})
     best = min(rows, key=lambda row: row[3])
-    print(f"minimum self-normalized variance {best[3]:.4f} at r={best[0]:.3f}  -> {path}")
+    print(f"minimum self-normalized variance {best[3]:.4f} at r={best[0]!r}  -> {path}")
     return 0
 
 

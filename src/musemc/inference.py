@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._cephes import ndtri
 from .streams import RandomStream
 
 CLT = "clt"
@@ -97,8 +98,6 @@ def check_interval_args(alpha: float, resamples: int | None = None, n: int = 2) 
 
 def normal_quantile(alpha: float) -> float:
     """z_{alpha/2} = Phi^{-1}(1 - alpha/2), a two-sided interval's half-width in standard errors."""
-    from scipy.special import ndtri  # deferred: scipy.special is most of the time `import musemc` takes
-
     return float(ndtri(1.0 - alpha / 2.0))
 
 

@@ -259,7 +259,11 @@ def compile_stepper(spec: ProcessSpec):
             idx = np.searchsorted(cum_init, u, side="right")
         else:
             values = parents[:, 0]
-            pos = np.zeros(count, dtype=small)
+            if values.strides[0] == 0:
+                # one state broadcast to every row (a lone inner batch, say):
+                # resolve it once; its thresholds broadcast against every u
+                values = values[:1]
+            pos = np.zeros(values.size, dtype=small)
             for s in sorted_support[:-1]:
                 pos += s < values
             pos = pos.astype(np.intp)

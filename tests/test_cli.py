@@ -221,6 +221,8 @@ def test_interval_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, ca
         (["tune-rate", "--step", "nan"], "step must be positive"),
         # a grid too fine to run is refused before it is allocated
         (["tune-rate", "--step", "1e-12"], "--step 1e-12 gives more than 10000 rate grid points between --r-min and --r-max"),
+        # an infinite step is refused by name, not as a NaN rate
+        (["tune-rate", "--step", "inf"], "--step must be finite, got inf"),
     ],
 )
 def test_count_flags_fail_before_any_replicate_runs(tmp_path, monkeypatch, capsys, argv, message):
@@ -376,6 +378,15 @@ def test_tune_rate_writes_pinned_bytes(tmp_path):
                 "--replicates", 1500, "--seed", 21, "--out-dir", tmp_path])
     assert code == 0
     assert sha256(tmp_path / "rate_grid.csv") == "c1ea48a63bdc15b05f301ec2f6394e1e7582f87cf19252b61b7a02ab2c1e87c8"
+
+
+def test_tune_rate_names_a_rate_its_csv_holds(tmp_path, capsys):
+    """On a grid finer than three decimals the closing line names the best rate as the CSV writes it."""
+    code = run(["tune-rate", "--horizon", 2, "--r-min", 0.6, "--r-max", 0.6000003, "--step", 1e-7,
+                "--replicates", 200, "--out-dir", tmp_path])
+    assert code == 0
+    named = capsys.readouterr().out.split(" at r=")[1].split()[0]
+    assert named in [row[0] for row in read_csv(tmp_path / "rate_grid.csv")[1:]]
 
 
 def test_tune_rate_default_grid_stays_inside_its_bounds():
@@ -626,11 +637,61 @@ def test_stop_from_config(tmp_path):
 
 
 def test_import_leaves_scipy_special_unloaded():
-    """Importing the package does not load scipy.special; its two call sites import it on first use."""
+    """Importing the package does not load scipy.special; no command needs it."""
     src = os.path.dirname(os.path.dirname(musemc.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     check = "import sys, musemc; sys.exit('scipy.special' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+
+
+_NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every `import scipy...` now raises ModuleNotFoundError
+from musemc.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+loaded = sorted(name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None)
+if loaded:
+    sys.exit(f"scipy modules loaded: {loaded}")
+"""
+
+
+def _without_run_timing(payload):
+    """A JSON payload without its wall times and per-worker replicate counts, which vary between runs."""
+    if isinstance(payload, dict):
+        skip = {"wall_time_s", "worker_wall_times", "worker_replicates"}
+        return {key: _without_run_timing(value) for key, value in payload.items() if key not in skip}
+    if isinstance(payload, list):
+        return [_without_run_timing(value) for value in payload]
+    return payload
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """With scipy unimportable, each command writes what an ordinary run writes and loads no scipy module."""
+    runs = [
+        ["estimate", "--replicates", 300, "--seed", 3],
+        ["estimate", "--replicates", 300, "--seed", 3, "--ci", "bootstrap"],
+        ["bermudan", "--dim", 2, "--dates", "0,1,2", "--replicates", 600, "--workers", 2],
+        ["stop", "--episodes", 20, "--inner-replicates", 50],
+        ["tune-rate", "--r-min", 0.6, "--r-max", 0.62, "--step", 0.01, "--replicates", 100],
+        ["gaussian-suite", "--horizons", "2,3", "--replicates", 200, "--mc1-paths", 100, "--trees", 5],
+    ]
+    bare = [[str(a) for a in argv + ["--out-dir", tmp_path / "bare" / str(i)]] for i, argv in enumerate(runs)]
+    src = os.path.dirname(os.path.dirname(musemc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(bare)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for i, argv in enumerate(runs):
+        assert run(argv + ["--out-dir", tmp_path / "ordinary" / str(i)]) == 0
+        ordinary, without = tmp_path / "ordinary" / str(i), tmp_path / "bare" / str(i)
+        names = sorted(os.listdir(ordinary))
+        assert sorted(os.listdir(without)) == names
+        for name in names:
+            got, want = (without / name).read_bytes(), (ordinary / name).read_bytes()
+            if name.endswith(".json"):
+                got, want = _without_run_timing(json.loads(got)), _without_run_timing(json.loads(want))
+            assert got == want, (argv[0], name)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from musemc.fixtures import mixing_three_stage, skewed_three_stage, two_point_two_stage
 from musemc.processes import (
     ProcessSpec,
     compile_stepper,
@@ -385,3 +386,22 @@ def test_discrete_stepper_rejects_an_out_of_support_parent():
         parents = np.array(bad)
         with pytest.raises(ValueError, match="not in the process support"):
             step(2, parents, len(bad), _FixedUniforms(np.full(len(bad), 0.5)))
+
+
+@pytest.mark.parametrize("chain", [two_point_two_stage, skewed_three_stage, mixing_three_stage])
+def test_discrete_stepper_draws_broadcast_parents_as_their_copies(chain):
+    """One state broadcast to every row (row stride 0) is resolved once, and draws
+    the states that the same parents draw when copied row by row, at every stage."""
+    spec = chain()
+    step = compile_stepper(spec)
+    for stage in range(2, spec.horizon + 1):
+        for state in spec.support:
+            for count in (1, 2000):
+                view = np.broadcast_to(np.array([[state]]), (count, 1))
+                assert view.strides[0] == 0
+                got = step(stage, view, count, stream(stage, count).generator)
+                want = step(stage, np.array(view), count, stream(stage, count).generator)
+                assert got.tobytes() == want.tobytes()
+    for bad in (max(spec.support) + 0.5, float("nan")):
+        with pytest.raises(ValueError, match="not in the process support"):
+            step(2, np.broadcast_to(np.array([[bad]]), (5, 1)), 5, stream(0).generator)

@@ -70,8 +70,7 @@ def mc2_forest(process: ProcessSpec, reward_spec: RewardSpec, tree: TreeSpec, st
     states = step(1, None, forest, gen)
     rewards.append(np.asarray(rew(1, states), dtype=float))
     for s in range(2, depth + 1):
-        parents = np.repeat(states, arity, axis=0)
-        states = step(s, parents, parents.shape[0], gen)
+        states = step(s, (states, arity), states.shape[0] * arity, gen)
         rewards.append(np.asarray(rew(s, states), dtype=float))
 
     # backward pass: average max(reward, continuation) over siblings

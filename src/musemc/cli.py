@@ -56,7 +56,7 @@ def main(argv=None) -> int:
         args.workers = resolve_workers(args.workers)
         os.makedirs(args.out_dir, exist_ok=True)
         return args.handler(args)
-    except (ValueError, OSError, KeyError, ReplicateError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError, ReplicateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -237,14 +237,16 @@ def _compile_context(process: ProcessSpec, reward_spec: RewardSpec, schedule: Ra
 
 
 def _run_batch(k, parents, count, gen, ctx):
-    """``count`` independent stage-k replicates conditioned row-wise on ``parents``.
+    """``count`` independent stage-k replicates, each conditioned on its parent.
 
     Returns (values, costs, levels) arrays of length ``count``.  ``parents``
-    is ``None`` only at stage 0.  Rows are expanded in index order, in
-    groups of at most ``_MAX_GROUP`` children; a row wider than that is a
-    group of its own and runs as several even-sized batches of
-    ``_MAX_GROUP`` children.  Child sums are accumulated per row, and one
-    vectorized pass turns each group's rows into their values.
+    is ``None`` only at stage 0, else the stepper's ``(states, repeats)``.
+    Rows are expanded in index order, in groups of at most ``_MAX_GROUP``
+    children, drawn on the parents ``(the group's states, their widths)``;
+    a row wider than the cap is a group of its own and runs as several
+    even-sized batches of ``_MAX_GROUP`` children.  Child sums are
+    accumulated per row, and one vectorized pass turns each group's rows
+    into their values.
     """
     x = ctx.step(k + 1, parents, count, gen)
     if k == ctx.horizon - 1:
@@ -270,10 +272,9 @@ def _run_batch(k, parents, count, gen, ctx):
         # even); an xor scan is cheaper than the cumulative sum of the widths
         one = width == 1
         odd_start = np.logical_xor.accumulate(one) ^ one
-        child_parents = np.repeat(x[a:b], width, axis=0)
         tot = odd = child_cost = 0.0
         for _batch in range(batches):
-            cv, cc, _ = _run_batch(k + 1, child_parents, seg.size, gen, ctx)
+            cv, cc, _ = _run_batch(k + 1, (x[a:b], width), seg.size, gen, ctx)
             tot += np.bincount(seg, weights=cv, minlength=b - a)
             # a row's odd half sums its odd children alone, from +0.0, so an
             # inf or nan even child stays out of it
@@ -326,15 +327,14 @@ def two_stage_muse(process: ProcessSpec, reward_spec: RewardSpec, r: float, stre
     anchor = float(ctx.rew(1, x1)[0])
     m = 1 << level
     if m == 1:
-        cv, cc, _ = _run_batch(1, x1, 1, gen, ctx)
+        cv, cc, _ = _run_batch(1, (x1, 1), 1, gen, ctx)
         delta, cost = max(anchor, float(cv[0])), 1 + int(cc[0])
     else:
         c = min(m, _MAX_GROUP)
-        parents = np.broadcast_to(x1, (c, x1.shape[1]))
         tot = odd = 0.0
         cost = 1
         for _chunk in range(m // c):
-            cv, cc, _ = _run_batch(1, parents, c, gen, ctx)
+            cv, cc, _ = _run_batch(1, (x1, c), c, gen, ctx)
             tot += float(cv.sum())
             odd += float(cv[0::2].sum())  # chunks stay even, so parity survives chunking
             cost += int(cc.sum())
@@ -360,9 +360,9 @@ def multi_stage_muse(
     """
     if max_level is not None:
         check_int(max_level, "max_level", low=0)
-    parents = _history_parent(process, history)
+    parent = _history_parent(process, history)
     ctx = _compile_context(process, reward_spec, schedule, max_level)
-    v, c, lv = _run_batch(len(history), parents, 1, as_generator(stream), ctx)
+    v, c, lv = _run_batch(len(history), None if parent is None else (parent, 1), 1, as_generator(stream), ctx)
     return EstimatorSample(value=float(v[0]), top_level=int(lv[0]), cost=int(c[0]), biased=max_level is not None)
 
 

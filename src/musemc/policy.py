@@ -111,28 +111,26 @@ def _decide(states, stage, fx, config, gen, ctx):
     from ``gen`` in row order, one ``_run_batch`` per group of
     ``_group_bounds`` under ``_MAX_GROUP`` (``max(1, _MAX_GROUP //
     inner_replicates)`` rows), so no batch is wider than the cap or one
-    inner batch.  Returns (stop mask, one ``StageDecision`` per row, inner draws
-    per row as a list); the last is 0 when no inner batch ran.
+    inner batch; its parents are ``(the group's states, inner_replicates)``.
+    Returns (stop mask, one ``StageDecision`` per row, inner draws per row
+    as a list); the last is 0 when no inner batch ran.
     """
     if math.isinf(config.tolerance or 0.0):
         # infinite slack: stop unconditionally, skip the inner batches
         nan = float("nan")
         return np.ones(fx.size, dtype=bool), [StageDecision(stage, float(f), nan, nan, STOP) for f in fx], 0
     n = config.inner_replicates
-    d = states.shape[1]
     y_bar = np.empty(fx.size)
     se = np.zeros(fx.size)
     costs = np.empty(fx.size, dtype=np.int64)
     for a, b in _group_bounds(np.full(fx.size, n), _MAX_GROUP):
-        # each row repeated n times; a lone row stays a view, so a wide inner batch copies nothing
-        parents = np.broadcast_to(states[a:b, None], (b - a, n, d)).reshape(-1, d)
-        values, batch_costs = _run_batch(stage, parents, (b - a) * n, gen, ctx)[:2]
+        values, batch_costs = _run_batch(stage, (states[a:b], n), (b - a) * n, gen, ctx)[:2]
         values = values.reshape(b - a, n)
         y_bar[a:b] = values.mean(axis=1)
         if n > 1:
             se[a:b] = values.std(axis=1, ddof=1) / math.sqrt(n)
         costs[a:b] = batch_costs.reshape(b - a, n).sum(axis=1)
-        del parents, values, batch_costs  # freed before the next batch runs, so one batch is live at a time
+        del values, batch_costs  # freed before the next batch runs, so one batch is live at a time
     eps = normal_quantile(config.alpha) * se if config.adaptive else config.tolerance
     stop = fx > y_bar - eps
     decisions = [
@@ -220,7 +218,7 @@ class PolicyEpisodeTask:
             running = running[~stop]
             if running.size == 0:
                 break
-            state = ctx.step(stage + 1, state, count, path_gen)
+            state = ctx.step(stage + 1, (state, 1), count, path_gen)
         return [
             PolicyOutcome(start + j, int(tau[j]), float(realized[j]), int(inner_cost[j]), tuple(diagnostics[j]))
             for j in range(count)

@@ -196,11 +196,12 @@ def _history_parent(spec: ProcessSpec, history: tuple, first: int = 0):
 def compile_stepper(spec: ProcessSpec):
     """Build ``step(stage, parents, count, gen) -> (count, dimension)`` draws.
 
-    ``parents`` holds the stage-1 states one row per draw, or ``None`` when
-    ``stage == 1`` (the unconditioned first step).  Rows are independent
-    given their parent row.  This is the single primitive every estimator
-    and baseline consumes; keeping one compiled closure per spec avoids
-    re-dispatching on the kind inside hot loops.
+    ``parents`` is ``None`` at stage 1, else one pair ``(states, repeats)``:
+    draw i's parent is row i of ``np.repeat(states, repeats, axis=0)``, with
+    ``repeats`` an int or one int per state.  Draws are independent given
+    their parents, which only the stepper expands.  This is the single
+    primitive every estimator and baseline consumes; keeping one compiled
+    closure per spec avoids re-dispatching on the kind inside hot loops.
     """
     if spec.kind == GAUSSIAN_IID:
         d = spec.dimension
@@ -219,10 +220,10 @@ def compile_stepper(spec: ProcessSpec):
         sigma = spec.sigma
 
         def step(stage, parents, count, gen):
-            base = parents if parents is not None else np.full((count, d), spot)
             dt = dts[stage - 1]
-            if dt == 0.0:
-                return np.array(base, dtype=float, copy=True)
+            if parents is None and dt == 0.0:  # only the first step may have zero length
+                return np.full((count, d), spot)
+            base = spot if parents is None else np.repeat(*parents, axis=0)
             # in place, in the order of base * exp(drift * dt + sigma * sqrt(dt) * z),
             # so the draws are bit-identical to that formula without its temporaries
             z = gen.standard_normal((count, d))
@@ -238,42 +239,41 @@ def compile_stepper(spec: ProcessSpec):
     # at or below u (searchsorted's side="right"), so a zero-probability
     # state is never drawn, not even at u = 0.0.  Only the first m - 1
     # entries count: they are nondecreasing, so the count stops at m - 1
-    # even when a row's sum ends below 1.  After stage 1, a parent resolves
-    # to its sorted-support position by m - 1 compares, and the count runs
-    # over contiguous columns permuted into that order here, once.  Both
-    # counts add in the narrowest type that holds m - 1 (cheaper adds) and
-    # widen to intp before indexing (a narrow index gathers slowly).
+    # even when a row's sum ends below 1.  Each parent state resolves to its
+    # sorted-support position by m - 1 compares, and the count runs over
+    # contiguous columns permuted into that order here, once.  Stage 1
+    # counts the same way, as if every draw had one parent at position 0
+    # whose row is the initial law.  Both counts add in the narrowest type
+    # that holds m - 1 (cheaper adds) and widen to intp before indexing (a
+    # narrow index gathers slowly).
     support = np.asarray(spec.support, dtype=float)
     small = np.min_scalar_type(support.size - 1)
     order = np.argsort(support)
     sorted_support = support[order]
     cum_init = np.cumsum(np.asarray(spec.transitions[0], dtype=float))[:-1]
-    cum_cols = [
+    cum_cols = [list(cum_init[:, None])] + [  # stage 1's columns are the initial law's entries
         [np.ascontiguousarray(col) for col in np.cumsum(np.asarray(mat, dtype=float), axis=1)[order, :-1].T]
         for mat in spec.transitions[1:]
     ]
 
     def step(stage, parents, count, gen):
         u = gen.random(count)
-        if stage == 1:
-            idx = np.searchsorted(cum_init, u, side="right")
-        else:
-            values = parents[:, 0]
-            if values.strides[0] == 0:
-                # one state broadcast to every row (a lone inner batch, say):
-                # resolve it once; its thresholds broadcast against every u
-                values = values[:1]
+        pos = np.zeros(1, dtype=np.intp)  # stage 1: one parent, at position 0, for every draw
+        if parents is not None:
+            states, repeats = parents
+            values = states[:, 0]
             pos = np.zeros(values.size, dtype=small)
             for s in sorted_support[:-1]:
                 pos += s < values
             pos = pos.astype(np.intp)
             if not np.array_equal(sorted_support[pos], values):
                 raise ValueError("state value not in the process support")
-            idx = np.zeros(count, dtype=small)
-            for col in cum_cols[stage - 2]:
-                idx += col[pos] <= u
-            idx = idx.astype(np.intp)
-        return support[idx][:, None]
+            if pos.size > 1:  # a lone state's position broadcasts against every u
+                pos = np.repeat(pos, repeats)
+        idx = np.zeros(count, dtype=small)
+        for col in cum_cols[stage - 1]:
+            idx += col[pos] <= u
+        return support[idx.astype(np.intp)][:, None]
 
     return step
 
@@ -286,7 +286,7 @@ def sample_next(spec: ProcessSpec, history: tuple, count: int, stream) -> np.nda
     """
     check_int(count, "count")
     parent = _history_parent(spec, history)
-    parents = None if parent is None else np.broadcast_to(parent, (count, spec.dimension))
+    parents = None if parent is None else (parent, count)
     return compile_stepper(spec)(len(history) + 1, parents, count, as_generator(stream))
 
 
@@ -300,10 +300,8 @@ def simulate_paths(spec: ProcessSpec, n_paths: int, stream) -> np.ndarray:
     gen = as_generator(stream)
     step = compile_stepper(spec)
     out = np.empty((n_paths, spec.horizon, spec.dimension))
-    prev = None
     for s in range(1, spec.horizon + 1):
-        prev = step(s, prev, n_paths, gen)
-        out[:, s - 1, :] = prev
+        out[:, s - 1, :] = step(s, None if s == 1 else (out[:, s - 2, :], 1), n_paths, gen)
     return out
 
 

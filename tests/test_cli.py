@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import asdict
@@ -13,7 +14,7 @@ import pytest
 import musemc
 import musemc.cli as cli
 from musemc.cli import _build_parser, _rate_grid, main
-from musemc.fixtures import deterministic_chain, mixing_three_stage
+from musemc.fixtures import deterministic_chain, mixing_three_stage, skewed_three_stage
 from musemc.parallel import BLOCK_SIZE, ReplicateError
 from musemc.rewards import identity_reward
 
@@ -336,6 +337,33 @@ def test_a_failing_replicate_is_an_error_line_not_a_traceback(tmp_path, monkeypa
     assert capsys.readouterr().err == "error: replicate 512 failed: in block 2: FloatingPointError: overflow\n"
 
 
+def _cap_address_space():
+    """Cap the child's address space at 2 GiB, so an allocation past it fails whatever the kernel's overcommit mode."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--replicates", 300, "--workers", 1, "--ci", "bootstrap", "--bootstrap-resamples", 100_000_000_000],
+        ["gaussian-suite", "--horizons", 2, "--replicates", 300, "--mc1-paths", 1_000_000_000_000],
+        ["gaussian-suite", "--horizons", 2, "--replicates", 300, "--trees", 1_000_000_000_000],
+    ],
+    ids=["bootstrap-resamples", "mc1-paths", "trees"],
+)
+def test_a_count_too_large_to_allocate_is_an_error_line_not_a_traceback(tmp_path, argv):
+    """A count whose arrays cannot be allocated ends in one ``error:`` line and exit 1, and writes no file."""
+    src = os.path.dirname(os.path.dirname(musemc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "musemc", *map(str, argv), "--out-dir", str(out)], env=env,
+                          capture_output=True, text=True, preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: Unable to allocate"), proc.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_rate_counts_must_match_the_horizon(tmp_path):
     """A rate list of the wrong length is a user error, not a traceback."""
     assert run(["bermudan", "--dates", "0,1,2,3", "--geo-rate", "0.6,0.6", "--out-dir", tmp_path]) == 1
@@ -578,33 +606,45 @@ def test_episode_log_golden(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, digests",
+    "flags, process, digests",
     [
         (
-            ["--horizon", 3, "--ci", "clt", "--replicates", 3000, "--seed", 11],
+            ["--horizon", 3, "--ci", "clt", "--replicates", 3000, "--seed", 11], None,
             ("895d8fb85a53e7cfdbb3a8798e4760cd38062ba408baa73868a918c73dcf36b8",
              "764c5b76c26bb1533668324cea5840403d604bad85eb05f7be441155c2d4c16a"),
         ),
         (
             ["--process", "gbm", "--dimension", 2, "--dates", "0,1,2,3", "--ci", "bootstrap",
-             "--bootstrap-resamples", 200, "--workers", 2, "--replicates", 1200, "--seed", 12],
+             "--bootstrap-resamples", 200, "--workers", 2, "--replicates", 1200, "--seed", 12], None,
             ("b199321408b4e0fd5fb37af56b9b7d6b645ecbc9e3f807261356356cde8a70e4",
              "2b42f09718ae0ea19c4d52a39b49b457e876c104029fc876f56a617c280ba486"),
         ),
         (
-            ["--horizon", 4, "--truncate-level", 3, "--replicates", 2000, "--seed", 13],
+            ["--horizon", 4, "--truncate-level", 3, "--replicates", 2000, "--seed", 13], None,
             ("7be07febf80f76ebe4c0ce3498854017a8c3c2ef3e28ce4432bae57bab3cbb75",
              "468ae5100ef70abef9cb8d9079075b4e16a664516ed8a64cac5e987aad274bc3"),
         ),
+        (
+            # a chain's stage-1 draws on its initial law, per-state parents
+            # of array widths, leaves, and a forked child
+            ["--rates", 0.6, "--replicates", 1200, "--workers", 2], skewed_three_stage(),
+            ("2255c20b705e63fc3cca7e989c73fa81c8a0f54cdfa1523d932512d2b88ea031",
+             "f364c839cf80d319c2c3c7b1af63afbd3b456d49e6ef076f65adf221e6765684"),
+        ),
     ],
-    ids=["gaussian-t3-clt", "gbm-d2-bootstrap-w2", "gaussian-t4-truncated"],
+    ids=["gaussian-t3-clt", "gbm-d2-bootstrap-w2", "gaussian-t4-truncated", "skewed-chain-config-w2"],
 )
-def test_estimate_writes_pinned_bytes(tmp_path, flags, digests):
+def test_estimate_writes_pinned_bytes(tmp_path, flags, process, digests):
     """`muse estimate` at a fixed seed writes these exact replicates and summary.
 
-    The summary is hashed without its ``wall_time_s`` key, re-serialized as
-    the CLI writes it, so every other value is pinned bit for bit.
+    A ``process``, when given, is the ``--config`` of the run.  The summary
+    is hashed without its ``wall_time_s`` key, re-serialized as the CLI
+    writes it, so every other value is pinned bit for bit.
     """
+    if process is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"process": asdict(process)}))
+        flags = ["--config", cfg, *flags]
     assert run(["estimate", *flags, "--out-dir", tmp_path]) == 0
     got = (
         sha256(tmp_path / "replicates.csv"),

@@ -75,7 +75,7 @@ def test_row_wise_decisions_match_one_row_reductions():
     states = np.array([[-2.0], [-1.0], [1.0], [2.0], [1.0]])
     fx = np.array([0.5, 0.0, 1.5, 1.0, -0.5])
     stop, decisions, costs = pol._decide(states, 1, fx, cfg, RandomStream(97).generator, ctx)
-    values, batch_costs, _ = est._run_batch(1, np.repeat(states, 7, axis=0), 35, RandomStream(97).generator, ctx)
+    values, batch_costs, _ = est._run_batch(1, (states, 7), 35, RandomStream(97).generator, ctx)
     z = float(ndtri(1.0 - cfg.alpha / 2.0))
     for i, d in enumerate(decisions):
         row = values[7 * i:7 * (i + 1)]
@@ -262,23 +262,25 @@ def test_policy_batches_stay_under_the_cap(monkeypatch):
     monkeypatch.setattr(pol, "_MAX_GROUP", cap)
     run_batch = pol._run_batch
     widths = []
-    views = []
+    inners = []
 
     def recording(k, parents, count, gen, ctx):
+        states, repeats = parents  # one state row per episode of the group, never a per-draw array
         widths.append(count)
-        views.append(parents.strides[0] == 0)  # one episode's state broadcast, not copied
+        inners.append(repeats)
+        assert states.shape == (count // repeats, proc.dimension)
         return run_batch(k, parents, count, gen, ctx)
 
     monkeypatch.setattr(pol, "_run_batch", recording)
     proc = gaussian_iid(horizon=3)
     for inner in (5, cap, 100):
         widths.clear()
-        views.clear()
+        inners.clear()
         outcomes, _ = run_stopping_policy(proc, identity_reward(), config(3, inner=inner), 40, RandomStream(96))
         assert max(widths) <= max(cap, inner)
         assert max(widths) == max(cap // inner, 1) * inner  # full batches of whole episodes
         assert sum(widths) == inner * sum(o.tau - (o.tau == proc.horizon) for o in outcomes)
-        assert all(views) == (inner >= cap)  # a lone row is a view, several rows are copied
+        assert inners == [inner] * len(widths)
 
 
 def test_config_validation():

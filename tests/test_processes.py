@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from musemc.baselines import TreeSpec, mc2_forest
 from musemc.fixtures import mixing_three_stage, skewed_three_stage, two_point_two_stage
 from musemc.processes import (
     ProcessSpec,
@@ -19,6 +21,7 @@ from musemc.processes import (
     user_discrete,
     validate_history,
 )
+from musemc.rewards import basket_put, identity_reward
 from musemc.streams import derive_substream
 
 
@@ -311,6 +314,7 @@ class _FixedUniforms:
 
 def _gather_compare_sum(spec, stage, parents, u):
     """The reference draw: gather each parent's cumulative row, count the entries at or below u."""
+    parents = np.repeat(*parents, axis=0)
     support = np.asarray(spec.support, dtype=float)
     order = np.argsort(support)
     m = support.size
@@ -354,9 +358,9 @@ def test_discrete_stepper_matches_gather_compare_sum(case):
     count = u.size
     mixed = np.repeat(np.array(spec.support)[:, None], -(-count // len(spec.support)), axis=0)[:count]
     for parents in (
-        np.broadcast_to(np.array([parent]), (count, 1)),  # one parent, repeated as a view
-        np.repeat(np.array([[parent]]), count, axis=0),  # the same parent, copied
-        mixed,  # every support point as a parent
+        (np.array([[parent]]), count),  # one parent for every draw
+        (np.repeat(np.array([[parent]]), count, axis=0), 1),  # the same parent, one row per draw
+        (mixed, 1),  # every support point as a parent
     ):
         for stage in (2, 3):
             got = step(stage, parents, count, _FixedUniforms(u))
@@ -376,32 +380,87 @@ def test_discrete_stepper_never_draws_a_zero_probability_state():
     assert step(1, None, 1, _FixedUniforms([0.0])).tolist() == [[1.0]]
     for stage in (2, 3):
         for parent in (0.0, 1.0):
-            assert step(stage, np.array([[parent]]), 1, _FixedUniforms([0.0])).tolist() == [[1.0]]
+            assert step(stage, (np.array([[parent]]), 1), 1, _FixedUniforms([0.0])).tolist() == [[1.0]]
 
 
 def test_discrete_stepper_rejects_an_out_of_support_parent():
     spec = user_discrete((3.0, 1.0, 2.0), ((1.0, 0.0, 0.0), ((1.0, 0.0, 0.0),) * 3))
     step = compile_stepper(spec)
     for bad in ([[2.0], [2.5]], [[4.0]], [[0.0]], [[float("nan")]]):
-        parents = np.array(bad)
-        with pytest.raises(ValueError, match="not in the process support"):
-            step(2, parents, len(bad), _FixedUniforms(np.full(len(bad), 0.5)))
+        states = np.array(bad)
+        for repeats in (1, 3, np.arange(1, len(bad) + 1)):  # alone or among others, by an int or an array
+            count = np.repeat(states, repeats, axis=0).shape[0]
+            with pytest.raises(ValueError, match="not in the process support"):
+                step(2, (states, repeats), count, _FixedUniforms(np.full(count, 0.5)))
 
 
-@pytest.mark.parametrize("chain", [two_point_two_stage, skewed_three_stage, mixing_three_stage])
-def test_discrete_stepper_draws_broadcast_parents_as_their_copies(chain):
-    """One state broadcast to every row (row stride 0) is resolved once, and draws
-    the states that the same parents draw when copied row by row, at every stage."""
-    spec = chain()
+_FIXTURE_CHAINS = (two_point_two_stage, skewed_three_stage, mixing_three_stage)
+_STEPPER_KINDS = (
+    lambda: gaussian_iid(horizon=3, dimension=2),
+    lambda: gbm(2, 3, 0.05, 0.1, 0.2, 100.0, (1.0, 2.0, 3.0)),
+    *_FIXTURE_CHAINS,
+)
+
+
+@st.composite
+def _repeated_parents(draw):
+    """A process, a stage after the first, its parent states, and repeats of each form the contract allows."""
+    spec = draw(st.sampled_from(_STEPPER_KINDS))()
+    stage = draw(st.integers(2, spec.horizon))
+    form = draw(st.sampled_from(["int, one state", "int, several states", "array"]))
+    rows = 1 if form == "int, one state" else draw(st.integers(2, 6))
+    if spec.kind == "UserDiscrete":
+        states = np.array(draw(st.lists(st.sampled_from(spec.support), min_size=rows, max_size=rows)))[:, None]
+    else:
+        value = st.floats(1.0, 200.0)
+        states = np.array(draw(st.lists(st.lists(value, min_size=2, max_size=2), min_size=rows, max_size=rows)))
+    if form == "array":
+        repeats = np.array(draw(st.lists(st.sampled_from([1, 2, 4, 8, 64]), min_size=rows, max_size=rows)))
+    else:
+        repeats = draw(st.sampled_from([1, 2, 3, 1000]))
+    return spec, stage, states, repeats
+
+
+@given(_repeated_parents(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_repeated_parents_draw_as_their_expanded_rows(case, seed):
+    """``(states, r)`` draws the bytes that the expanded rows ``(np.repeat(states, r, axis=0), 1)`` draw."""
+    spec, stage, states, repeats = case
     step = compile_stepper(spec)
-    for stage in range(2, spec.horizon + 1):
-        for state in spec.support:
-            for count in (1, 2000):
-                view = np.broadcast_to(np.array([[state]]), (count, 1))
-                assert view.strides[0] == 0
-                got = step(stage, view, count, stream(stage, count).generator)
-                want = step(stage, np.array(view), count, stream(stage, count).generator)
-                assert got.tobytes() == want.tobytes()
-    for bad in (max(spec.support) + 0.5, float("nan")):
-        with pytest.raises(ValueError, match="not in the process support"):
-            step(2, np.broadcast_to(np.array([[bad]]), (5, 1)), 5, stream(0).generator)
+    expanded = np.repeat(states, repeats, axis=0)
+    count = expanded.shape[0]
+    got = step(stage, (states, repeats), count, np.random.default_rng(seed))
+    want = step(stage, (expanded, 1), count, np.random.default_rng(seed))
+    assert got.shape == (count, spec.dimension)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chain", _FIXTURE_CHAINS)
+def test_discrete_stage_one_counts_the_initial_law(chain):
+    """Stage 1 draws ``searchsorted(side="right")`` on the initial law's cumulative entries,
+    at every edge uniform: 0.0, each cumulative entry, and the largest double below 1."""
+    spec = chain()
+    cum = np.cumsum(np.asarray(spec.transitions[0], dtype=float))
+    u = np.array([0.0, *cum, np.nextafter(1.0, 0.0)])
+    want = np.asarray(spec.support)[np.searchsorted(cum[:-1], u, side="right")][:, None]
+    got = compile_stepper(spec)(1, None, u.size, _FixedUniforms(u))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, reward, digest",
+    [
+        (gbm(2, 3, 0.05, 0.1, 0.2, 100.0, (1.0, 2.0, 3.0)), basket_put(100.0, 0.05, (1.0, 2.0, 3.0)),
+         "59ffd6ea2ca747593778183caf56a2a7e99781db2b367e0630e868954a38717e"),
+        (skewed_three_stage(), identity_reward(), "5784b50c914a27a70be62991f70de5cdae280749dc13d828ffb643f6b111079f"),
+    ],
+    ids=["gbm-d2", "skewed-three-stage"],
+)
+def test_library_draws_pinned_bytes(spec, reward, digest):
+    """``simulate_paths``, ``sample_next`` from a stage-2 history and an arity-3
+    ``mc2_forest`` draw these exact bytes at fixed seeds."""
+    paths = simulate_paths(spec, 500, stream(80))
+    h = hashlib.sha256(paths.tobytes())
+    h.update(sample_next(spec, tuple(paths[0, :2]), 1000, stream(81)).tobytes())
+    h.update(mc2_forest(spec, reward, TreeSpec(3, 100), stream(82)).tobytes())
+    assert h.hexdigest() == digest
